@@ -4,16 +4,17 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
-#if defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))
+#if defined(__x86_64__)
 #include <immintrin.h>
-#define FDB_CORRELATOR_SIMD 1
-#else
-#define FDB_CORRELATOR_SIMD 0
 #endif
 
 namespace fdb::dsp {
 namespace {
+
+using detail::CorrelatorTarget;
 
 // Samples appended per compaction cycle; the history buffer holds
 // window_len_-1 + kBlock floats, so the tail memmove amortises to
@@ -26,7 +27,205 @@ constexpr std::size_t kBlock = 4096;
 // same instants — chunked and scalar feeding stay bit-identical.
 constexpr std::uint64_t kRefreshMask = (1u << 15) - 1;
 
+#if defined(__x86_64__)
+// Output-blocked, tap-outer dot kernels over the pre-widened window:
+// lane l of a block accumulates the dot of the window starting at
+// first + j0 + l. At a fixed tap k the lanes read one contiguous
+// unaligned double load first[j0+k .. j0+k+lanes), and every lane
+// keeps the scalar reference's four k-mod-4 accumulators plus
+// sequential tail. Both factors of every product are float-valued
+// doubles (24+24 < 53 bits → the product is exact), so each FMA equals
+// multiply-then-add bit-for-bit and the kernels match dot_one()
+// exactly. The widest block runs two lane groups per tap so one
+// broadcast feeds two FMAs and the FMA latency chains interleave.
+//
+// Each kernel is compiled for its ISA via the target attribute, so every
+// x86-64 build carries both; the runtime dispatch below only calls one
+// the CPU supports. Each returns how many leading outputs it wrote; the
+// caller finishes the rest with the scalar dot.
+
+__attribute__((target("avx512f"))) std::size_t dot_block_avx512f(
+    const double* pat, std::size_t w, const double* first, std::size_t n,
+    double* dots) {
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const double* win = first + j;
+    __m512d a0 = _mm512_setzero_pd(), b0 = _mm512_setzero_pd();
+    __m512d a1 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
+    __m512d a2 = _mm512_setzero_pd(), b2 = _mm512_setzero_pd();
+    __m512d a3 = _mm512_setzero_pd(), b3 = _mm512_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= w; k += 4) {
+      const __m512d p0 = _mm512_set1_pd(pat[k]);
+      a0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p0, a0);
+      b0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p0, b0);
+      const __m512d p1 = _mm512_set1_pd(pat[k + 1]);
+      a1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1), p1, a1);
+      b1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 9), p1, b1);
+      const __m512d p2 = _mm512_set1_pd(pat[k + 2]);
+      a2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2), p2, a2);
+      b2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 10), p2, b2);
+      const __m512d p3 = _mm512_set1_pd(pat[k + 3]);
+      a3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3), p3, a3);
+      b3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 11), p3, b3);
+    }
+    __m512d da = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
+    __m512d db = _mm512_add_pd(_mm512_add_pd(b0, b1), _mm512_add_pd(b2, b3));
+    for (; k < w; ++k) {
+      const __m512d p = _mm512_set1_pd(pat[k]);
+      da = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p, da);
+      db = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p, db);
+    }
+    _mm512_storeu_pd(dots + j, da);
+    _mm512_storeu_pd(dots + j + 8, db);
+  }
+  for (; j + 8 <= n; j += 8) {
+    const double* win = first + j;
+    __m512d d0 = _mm512_setzero_pd();
+    __m512d d1 = _mm512_setzero_pd();
+    __m512d d2 = _mm512_setzero_pd();
+    __m512d d3 = _mm512_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= w; k += 4) {
+      d0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
+                           _mm512_set1_pd(pat[k]), d0);
+      d1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1),
+                           _mm512_set1_pd(pat[k + 1]), d1);
+      d2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2),
+                           _mm512_set1_pd(pat[k + 2]), d2);
+      d3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3),
+                           _mm512_set1_pd(pat[k + 3]), d3);
+    }
+    __m512d dot = _mm512_add_pd(_mm512_add_pd(d0, d1), _mm512_add_pd(d2, d3));
+    for (; k < w; ++k) {
+      dot = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
+                            _mm512_set1_pd(pat[k]), dot);
+    }
+    _mm512_storeu_pd(dots + j, dot);
+  }
+  return j;
+}
+
+__attribute__((target("avx2,fma"))) std::size_t dot_block_avx2_fma(
+    const double* pat, std::size_t w, const double* first, std::size_t n,
+    double* dots) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const double* win = first + j;
+    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= w; k += 4) {
+      const __m256d p0 = _mm256_set1_pd(pat[k]);
+      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p0, a0);
+      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p0, b0);
+      const __m256d p1 = _mm256_set1_pd(pat[k + 1]);
+      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1), p1, a1);
+      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 5), p1, b1);
+      const __m256d p2 = _mm256_set1_pd(pat[k + 2]);
+      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2), p2, a2);
+      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 6), p2, b2);
+      const __m256d p3 = _mm256_set1_pd(pat[k + 3]);
+      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3), p3, a3);
+      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 7), p3, b3);
+    }
+    __m256d da = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+    __m256d db = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
+    for (; k < w; ++k) {
+      const __m256d p = _mm256_set1_pd(pat[k]);
+      da = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p, da);
+      db = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p, db);
+    }
+    _mm256_storeu_pd(dots + j, da);
+    _mm256_storeu_pd(dots + j + 4, db);
+  }
+  for (; j + 4 <= n; j += 4) {
+    const double* win = first + j;
+    __m256d d0 = _mm256_setzero_pd();
+    __m256d d1 = _mm256_setzero_pd();
+    __m256d d2 = _mm256_setzero_pd();
+    __m256d d3 = _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= w; k += 4) {
+      d0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
+                           _mm256_set1_pd(pat[k]), d0);
+      d1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1),
+                           _mm256_set1_pd(pat[k + 1]), d1);
+      d2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2),
+                           _mm256_set1_pd(pat[k + 2]), d2);
+      d3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3),
+                           _mm256_set1_pd(pat[k + 3]), d3);
+    }
+    __m256d dot = _mm256_add_pd(_mm256_add_pd(d0, d1), _mm256_add_pd(d2, d3));
+    for (; k < w; ++k) {
+      dot = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
+                            _mm256_set1_pd(pat[k]), dot);
+    }
+    _mm256_storeu_pd(dots + j, dot);
+  }
+  return j;
+}
+#endif  // __x86_64__
+
+CorrelatorTarget detect_target() {
+  for (const auto target :
+       {CorrelatorTarget::kAvx512f, CorrelatorTarget::kAvx2Fma}) {
+    if (detail::correlator_target_supported(target)) return target;
+  }
+  return CorrelatorTarget::kScalar;
+}
+
 }  // namespace
+
+namespace detail {
+
+const char* correlator_target_name(CorrelatorTarget target) {
+  switch (target) {
+    case CorrelatorTarget::kAvx512f:
+      return "avx512f";
+    case CorrelatorTarget::kAvx2Fma:
+      return "avx2+fma";
+    case CorrelatorTarget::kScalar:
+      break;
+  }
+  return "scalar";
+}
+
+bool correlator_target_supported(CorrelatorTarget target) {
+  switch (target) {
+    case CorrelatorTarget::kScalar:
+      return true;
+#if defined(__x86_64__)
+    case CorrelatorTarget::kAvx512f:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f");
+    case CorrelatorTarget::kAvx2Fma:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif
+    default:
+      return false;
+  }
+}
+
+CorrelatorTarget correlator_dispatch_target() {
+  static const CorrelatorTarget target = detect_target();
+  return target;
+}
+
+void correlator_process_on(SlidingCorrelator& corr, CorrelatorTarget target,
+                           std::span<const float> in, std::span<float> out) {
+  if (!correlator_target_supported(target)) {
+    throw std::invalid_argument(std::string("correlator target ") +
+                                correlator_target_name(target) +
+                                " is not supported on this CPU");
+  }
+  corr.process_on(target, in, out);
+}
+
+}  // namespace detail
 
 SlidingCorrelator::SlidingCorrelator(std::vector<float> pattern,
                                      std::size_t samples_per_chip) {
@@ -122,148 +321,44 @@ double SlidingCorrelator::dot_one_d(const double* win) const {
   return dot;
 }
 
-void SlidingCorrelator::dot_block(const double* first, std::size_t n,
-                                  double* dots) const {
-  // Output-blocked, tap-outer kernel over the pre-widened window: lane
-  // l of a block accumulates the dot of the window starting at
-  // first + j0 + l. At a fixed tap k the lanes read one contiguous
-  // unaligned double load first[j0+k .. j0+k+lanes), and every lane
-  // keeps the scalar reference's four k-mod-4 accumulators plus
-  // sequential tail. Both factors of every product are float-valued
-  // doubles (24+24 < 53 bits → the product is exact), so each FMA
-  // equals multiply-then-add bit-for-bit and the kernel matches
-  // dot_one() exactly. The widest block runs two lane groups per tap so
-  // one broadcast feeds two FMAs and the FMA latency chains interleave.
-  const double* pat = pattern_d_.data();
-  const std::size_t w = window_len_;
+void SlidingCorrelator::dot_block(CorrelatorTarget target, const double* first,
+                                  std::size_t n, double* dots) const {
   std::size_t j = 0;
-#if defined(__AVX512F__)
-  for (; j + 16 <= n; j += 16) {
-    const double* win = first + j;
-    __m512d a0 = _mm512_setzero_pd(), b0 = _mm512_setzero_pd();
-    __m512d a1 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-    __m512d a2 = _mm512_setzero_pd(), b2 = _mm512_setzero_pd();
-    __m512d a3 = _mm512_setzero_pd(), b3 = _mm512_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m512d p0 = _mm512_set1_pd(pat[k]);
-      a0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p0, a0);
-      b0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p0, b0);
-      const __m512d p1 = _mm512_set1_pd(pat[k + 1]);
-      a1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1), p1, a1);
-      b1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 9), p1, b1);
-      const __m512d p2 = _mm512_set1_pd(pat[k + 2]);
-      a2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2), p2, a2);
-      b2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 10), p2, b2);
-      const __m512d p3 = _mm512_set1_pd(pat[k + 3]);
-      a3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3), p3, a3);
-      b3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 11), p3, b3);
-    }
-    __m512d da = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
-    __m512d db = _mm512_add_pd(_mm512_add_pd(b0, b1), _mm512_add_pd(b2, b3));
-    for (; k < w; ++k) {
-      const __m512d p = _mm512_set1_pd(pat[k]);
-      da = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p, da);
-      db = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p, db);
-    }
-    _mm512_storeu_pd(dots + j, da);
-    _mm512_storeu_pd(dots + j + 8, db);
-  }
-  for (; j + 8 <= n; j += 8) {
-    const double* win = first + j;
-    __m512d d0 = _mm512_setzero_pd();
-    __m512d d1 = _mm512_setzero_pd();
-    __m512d d2 = _mm512_setzero_pd();
-    __m512d d3 = _mm512_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      d0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
-                           _mm512_set1_pd(pat[k]), d0);
-      d1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1),
-                           _mm512_set1_pd(pat[k + 1]), d1);
-      d2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2),
-                           _mm512_set1_pd(pat[k + 2]), d2);
-      d3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3),
-                           _mm512_set1_pd(pat[k + 3]), d3);
-    }
-    __m512d dot = _mm512_add_pd(_mm512_add_pd(d0, d1), _mm512_add_pd(d2, d3));
-    for (; k < w; ++k) {
-      dot = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
-                            _mm512_set1_pd(pat[k]), dot);
-    }
-    _mm512_storeu_pd(dots + j, dot);
-  }
-#elif defined(__AVX2__) && defined(__FMA__)
-  for (; j + 8 <= n; j += 8) {
-    const double* win = first + j;
-    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m256d p0 = _mm256_set1_pd(pat[k]);
-      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p0, a0);
-      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p0, b0);
-      const __m256d p1 = _mm256_set1_pd(pat[k + 1]);
-      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1), p1, a1);
-      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 5), p1, b1);
-      const __m256d p2 = _mm256_set1_pd(pat[k + 2]);
-      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2), p2, a2);
-      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 6), p2, b2);
-      const __m256d p3 = _mm256_set1_pd(pat[k + 3]);
-      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3), p3, a3);
-      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 7), p3, b3);
-    }
-    __m256d da = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-    __m256d db = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
-    for (; k < w; ++k) {
-      const __m256d p = _mm256_set1_pd(pat[k]);
-      da = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p, da);
-      db = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p, db);
-    }
-    _mm256_storeu_pd(dots + j, da);
-    _mm256_storeu_pd(dots + j + 4, db);
-  }
-  for (; j + 4 <= n; j += 4) {
-    const double* win = first + j;
-    __m256d d0 = _mm256_setzero_pd();
-    __m256d d1 = _mm256_setzero_pd();
-    __m256d d2 = _mm256_setzero_pd();
-    __m256d d3 = _mm256_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      d0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
-                           _mm256_set1_pd(pat[k]), d0);
-      d1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1),
-                           _mm256_set1_pd(pat[k + 1]), d1);
-      d2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2),
-                           _mm256_set1_pd(pat[k + 2]), d2);
-      d3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3),
-                           _mm256_set1_pd(pat[k + 3]), d3);
-    }
-    __m256d dot = _mm256_add_pd(_mm256_add_pd(d0, d1), _mm256_add_pd(d2, d3));
-    for (; k < w; ++k) {
-      dot = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
-                            _mm256_set1_pd(pat[k]), dot);
-    }
-    _mm256_storeu_pd(dots + j, dot);
+#if defined(__x86_64__)
+  if (target == CorrelatorTarget::kAvx512f) {
+    j = dot_block_avx512f(pattern_d_.data(), window_len_, first, n, dots);
+  } else if (target == CorrelatorTarget::kAvx2Fma) {
+    j = dot_block_avx2_fma(pattern_d_.data(), window_len_, first, n, dots);
   }
 #else
-  (void)pat;
-  (void)w;
+  (void)target;
 #endif
   for (; j < n; ++j) dots[j] = dot_one_d(first + j);
 }
 
 void SlidingCorrelator::process(std::span<const float> in,
                                 std::span<float> out) {
-#if !FDB_CORRELATOR_SIMD
+  // One dispatch path for every build: the target is the host CPU's
+  // widest supported kernel, not the compiler's -march.
+  process_on(detail::correlator_dispatch_target(), in, out);
+}
+
+void SlidingCorrelator::process_on(CorrelatorTarget target,
+                                   std::span<const float> in,
+                                   std::span<float> out) {
   // Without a vector ISA the blocked restructure is pure overhead (the
   // dots fall back to dot_one anyway); the single-pass scalar loop is
   // the faster — and definitionally bit-identical — path.
-  process_scalar(in, out);
-#else
+  if (target == CorrelatorTarget::kScalar) {
+    process_scalar(in, out);
+  } else {
+    process_blocked(target, in, out);
+  }
+}
+
+void SlidingCorrelator::process_blocked(CorrelatorTarget target,
+                                        std::span<const float> in,
+                                        std::span<float> out) {
   // Three passes per block, each matching the scalar reference's
   // per-sample op order exactly — the dot is a pure function of the
   // window, so deferring it past the bookkeeping changes nothing:
@@ -316,7 +411,7 @@ void SlidingCorrelator::process(std::span<const float> in,
       for (std::size_t i = 0; i < span; ++i) {
         win_d_[i] = static_cast<double>(src[i]);
       }
-      dot_block(win_d_.data(), take - warm, dot_buf_.data());
+      dot_block(target, win_d_.data(), take - warm, dot_buf_.data());
     }
     for (std::size_t i = 0; i < warm; ++i) o[i] = 0.0f;
     for (std::size_t i = warm; i < take; ++i) {
@@ -333,7 +428,6 @@ void SlidingCorrelator::process(std::span<const float> in,
     cursor_ += take;
     done += take;
   }
-#endif
 }
 
 void SlidingCorrelator::process_scalar(std::span<const float> in,

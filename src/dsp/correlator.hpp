@@ -7,10 +7,13 @@
 // Batch-first: the primary API is process(span, span), which keeps the
 // window in a contiguous history buffer (no modulo indexing), tracks
 // the window mean and energy incrementally, and computes the pattern
-// dots through an output-blocked SIMD kernel (8-wide AVX-512 /
-// 4-wide AVX2 FMA lanes when the build ISA has them, a scalar loop
-// otherwise). process_scalar(span, span) is the bit-exact scalar
-// reference the SIMD path is verified against; process(x) is a
+// dots through an output-blocked SIMD kernel. The kernel is chosen once
+// per process from what the running CPU supports, not what the build
+// targets: on x86-64 the AVX-512F (8-wide) and AVX2+FMA (4-wide) bodies
+// are compiled as target-attribute functions into every build, and the
+// widest one the host has runs; hosts with neither, and non-x86 builds,
+// run process_scalar. process_scalar(span, span) is the bit-exact
+// scalar reference the SIMD path is verified against; process(x) is a
 // specialized single-sample path over the same arithmetic. All three
 // are bit-identical for any chunking of the stream:
 //
@@ -33,6 +36,31 @@
 
 namespace fdb::dsp {
 
+class SlidingCorrelator;
+
+namespace detail {
+
+/// Dot kernels SlidingCorrelator::process(span) can dispatch to.
+/// Internal: the equivalence tests force each one; users get the
+/// runtime choice.
+enum class CorrelatorTarget { kScalar, kAvx2Fma, kAvx512f };
+
+/// "scalar", "avx2+fma" or "avx512f".
+const char* correlator_target_name(CorrelatorTarget target);
+
+/// True when the running CPU (and OS) can execute `target`.
+bool correlator_target_supported(CorrelatorTarget target);
+
+/// The widest supported target; detected once per process.
+CorrelatorTarget correlator_dispatch_target();
+
+/// process(span) on a named target. Throws std::invalid_argument when
+/// the host cannot run it.
+void correlator_process_on(SlidingCorrelator& corr, CorrelatorTarget target,
+                           std::span<const float> in, std::span<float> out);
+
+}  // namespace detail
+
 class SlidingCorrelator {
  public:
   /// `pattern` holds ±1 chips; `samples_per_chip` stretches each chip.
@@ -48,8 +76,8 @@ class SlidingCorrelator {
   /// Batch kernel: out[i] is the correlation after pushing in[i].
   /// Arbitrary span lengths; state carries across calls, so splitting a
   /// stream into chunks of any size yields bit-identical output. Pattern
-  /// dots run through the output-blocked SIMD kernel when the build ISA
-  /// provides one.
+  /// dots run through the output-blocked SIMD kernel when the host CPU
+  /// provides one (see detail::correlator_dispatch_target).
   void process(std::span<const float> in, std::span<float> out);
 
   /// Scalar determinism reference: the per-sample loop the SIMD path
@@ -65,6 +93,19 @@ class SlidingCorrelator {
   void reset();
 
  private:
+  friend void detail::correlator_process_on(SlidingCorrelator&,
+                                            detail::CorrelatorTarget,
+                                            std::span<const float>,
+                                            std::span<float>);
+
+  /// process(span) with the dots on `target` (which must be supported).
+  void process_on(detail::CorrelatorTarget target, std::span<const float> in,
+                  std::span<float> out);
+
+  /// The three-pass blocked batch loop behind the SIMD targets.
+  void process_blocked(detail::CorrelatorTarget target,
+                       std::span<const float> in, std::span<float> out);
+
   void compact();
   void refresh_sums(const float* window);
 
@@ -78,8 +119,10 @@ class SlidingCorrelator {
 
   /// Blocked dots over the widened window: dots[j] = dot of the window
   /// starting at first + j, for j in [0, n), with consecutive outputs
-  /// mapped to SIMD lanes (each lane reproduces dot_one's tree exactly).
-  void dot_block(const double* first, std::size_t n, double* dots) const;
+  /// mapped to `target`'s SIMD lanes (each lane reproduces dot_one's
+  /// tree exactly) and the remainder finished by dot_one_d.
+  void dot_block(detail::CorrelatorTarget target, const double* first,
+                 std::size_t n, double* dots) const;
 
   std::vector<float> stretched_;   // pattern expanded & mean-removed
   std::vector<double> pattern_d_;  // same taps widened once for the dot

@@ -130,6 +130,9 @@ std::size_t BackscatterRx::refine_data_start(
 
   double best_metric = -1e300;
   std::size_t best_start = coarse_data_start;
+  // Chip averages of the current candidate; every slot is rewritten
+  // per candidate, so one buffer serves the whole search.
+  std::vector<double> avgs(preamble.size());
   const int range = static_cast<int>(spc) - 1;
   for (int delta = -range; delta <= range; ++delta) {
     const long start_l = static_cast<long>(coarse_data_start) + delta;
@@ -140,7 +143,6 @@ std::size_t BackscatterRx::refine_data_start(
     // Chip averages over the candidate preamble window.
     double metric = 0.0;
     double mean = 0.0;
-    std::vector<double> avgs(preamble.size(), 0.0);
     for (std::size_t c = 0; c < preamble.size(); ++c) {
       double acc = 0.0;
       for (std::size_t s = 0; s < spc; ++s) {

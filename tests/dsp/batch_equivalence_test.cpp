@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dsp/agc.hpp"
@@ -130,43 +131,116 @@ TEST(BatchEquivalence, SlidingCorrelator) {
                                  SlidingCorrelator(pattern, 4), 70000, 17);
 }
 
-TEST(BatchEquivalence, SlidingCorrelatorSimdDispatch) {
-  // Three-way pin with the full 34-chip frame preamble (the window the
-  // streaming receiver actually runs): per-sample process(x), the
-  // scalar batch reference process_scalar(span), and the dispatched
-  // process(span) — which routes to the SIMD dot kernel when the build
-  // ISA has AVX2+FMA or AVX-512 — must agree bit-for-bit. The SIMD
-  // kernel owes this to the exact-product theorem (float-valued
-  // operands multiply exactly in double, so FMA cannot round
-  // differently) plus the pinned 4-partial summation tree; chunk sizes
-  // differ between the two batch drives so block boundaries, history
+/// Drives a fresh preamble correlator over `in` in random chunks through
+/// `feed(corr, in_chunk, out_chunk)`.
+template <typename Feed>
+std::vector<float> correlate_chunked(const std::vector<float>& in,
+                                     std::uint64_t chunk_seed, Feed feed) {
+  SlidingCorrelator corr(phy::chips_to_pattern(phy::default_preamble_chips()),
+                         6);
+  std::vector<float> out(in.size());
+  Rng chunk_rng(chunk_seed);
+  std::size_t pos = 0;
+  for (const std::size_t n : random_chunks(in.size(), chunk_rng)) {
+    feed(corr, std::span<const float>(in.data() + pos, n),
+         std::span<float>(out.data() + pos, n));
+    pos += n;
+  }
+  return out;
+}
+
+class SlidingCorrelatorTarget
+    : public ::testing::TestWithParam<detail::CorrelatorTarget> {};
+
+TEST_P(SlidingCorrelatorTarget, MatchesScalarReference) {
+  // Every dot-kernel target the dispatcher can pick is pinned against
+  // the scalar batch reference process_scalar(span) and the per-sample
+  // process(x), with the full 34-chip frame preamble (the window the
+  // streaming receiver actually runs). The SIMD kernels owe bit-identity
+  // to the exact-product theorem (float-valued operands multiply
+  // exactly in double, so FMA cannot round differently) plus the pinned
+  // 4-partial summation tree. Each target is forced by name, so one
+  // binary covers every ISA the host has, whatever the build's -march;
+  // chunk sizes differ between drives so block boundaries, history
   // compaction, and the widened-window scratch refill all land at
   // different offsets.
-  const auto pattern = phy::chips_to_pattern(phy::default_preamble_chips());
+  const auto target = GetParam();
+  if (!detail::correlator_target_supported(target)) {
+    GTEST_SKIP() << detail::correlator_target_name(target)
+                 << " is not supported on this CPU";
+  }
   const std::size_t total = 70000;
   const auto in = random_stream(total, 42);
-  SlidingCorrelator by_sample(pattern, 6);
-  SlidingCorrelator scalar_batch(pattern, 6);
-  SlidingCorrelator dispatched(pattern, 6);
-  std::vector<float> ref(total), scalar_out(total), simd_out(total);
+  SlidingCorrelator by_sample(
+      phy::chips_to_pattern(phy::default_preamble_chips()), 6);
+  std::vector<float> ref(total);
   for (std::size_t i = 0; i < total; ++i) ref[i] = by_sample.process(in[i]);
-  Rng chunk_a(424242);
-  std::size_t pos = 0;
-  for (const std::size_t n : random_chunks(total, chunk_a)) {
-    scalar_batch.process_scalar(std::span<const float>(in.data() + pos, n),
-                                std::span<float>(scalar_out.data() + pos, n));
-    pos += n;
+  const auto scalar_out = correlate_chunked(
+      in, 424242, [](SlidingCorrelator& c, auto x, auto y) {
+        c.process_scalar(x, y);
+      });
+  for (const std::uint64_t chunk_seed : {777u, 31337u}) {
+    const auto target_out = correlate_chunked(
+        in, chunk_seed, [target](SlidingCorrelator& c, auto x, auto y) {
+          detail::correlator_process_on(c, target, x, y);
+        });
+    for (std::size_t i = 0; i < total; ++i) {
+      ASSERT_EQ(ref[i], scalar_out[i]) << "scalar batch diverged at " << i;
+      ASSERT_EQ(scalar_out[i], target_out[i])
+          << detail::correlator_target_name(target) << " diverged at " << i
+          << " (chunk seed " << chunk_seed << ")";
+    }
   }
-  Rng chunk_b(777);
-  pos = 0;
-  for (const std::size_t n : random_chunks(total, chunk_b)) {
-    dispatched.process(std::span<const float>(in.data() + pos, n),
-                       std::span<float>(simd_out.data() + pos, n));
-    pos += n;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchEquivalence, SlidingCorrelatorTarget,
+    ::testing::Values(detail::CorrelatorTarget::kScalar,
+                      detail::CorrelatorTarget::kAvx2Fma,
+                      detail::CorrelatorTarget::kAvx512f),
+    [](const auto& info) {
+      switch (info.param) {
+        case detail::CorrelatorTarget::kAvx2Fma:
+          return std::string("Avx2Fma");
+        case detail::CorrelatorTarget::kAvx512f:
+          return std::string("Avx512f");
+        case detail::CorrelatorTarget::kScalar:
+          break;
+      }
+      return std::string("Scalar");
+    });
+
+TEST(BatchEquivalence, SlidingCorrelatorSimdDispatch) {
+  // process(span) runs the widest kernel the CPU has, checked here
+  // against the CPU's own feature bits rather than the dispatcher's
+  // helpers, and matches the scalar batch reference bit-for-bit.
+  using detail::CorrelatorTarget;
+  CorrelatorTarget best = CorrelatorTarget::kScalar;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    best = CorrelatorTarget::kAvx512f;
+  } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    best = CorrelatorTarget::kAvx2Fma;
   }
-  for (std::size_t i = 0; i < total; ++i) {
-    ASSERT_EQ(ref[i], scalar_out[i]) << "scalar batch diverged at " << i;
-    ASSERT_EQ(ref[i], simd_out[i]) << "dispatched batch diverged at " << i;
+#endif
+  EXPECT_EQ(detail::correlator_dispatch_target(), best)
+      << "dispatched " << detail::correlator_target_name(
+                              detail::correlator_dispatch_target())
+      << ", best supported " << detail::correlator_target_name(best);
+  EXPECT_TRUE(detail::correlator_target_supported(best));
+
+  const auto in = random_stream(70000, 42);
+  const auto scalar_out = correlate_chunked(
+      in, 424242, [](SlidingCorrelator& c, auto x, auto y) {
+        c.process_scalar(x, y);
+      });
+  const auto dispatched_out = correlate_chunked(
+      in, 777,
+      [](SlidingCorrelator& c, auto x, auto y) { c.process(x, y); });
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(scalar_out[i], dispatched_out[i])
+        << "dispatched batch diverged at " << i;
   }
 }
 
