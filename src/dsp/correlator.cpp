@@ -222,7 +222,7 @@ void correlator_process_on(SlidingCorrelator& corr, CorrelatorTarget target,
                                 correlator_target_name(target) +
                                 " is not supported on this CPU");
   }
-  corr.process_on(target, in, out);
+  corr.process_blocked(target, in, out);
 }
 
 }  // namespace detail
@@ -340,25 +340,19 @@ void SlidingCorrelator::process(std::span<const float> in,
                                 std::span<float> out) {
   // One dispatch path for every build: the target is the host CPU's
   // widest supported kernel, not the compiler's -march.
-  process_on(detail::correlator_dispatch_target(), in, out);
-}
-
-void SlidingCorrelator::process_on(CorrelatorTarget target,
-                                   std::span<const float> in,
-                                   std::span<float> out) {
-  // Without a vector ISA the blocked restructure is pure overhead (the
-  // dots fall back to dot_one anyway); the single-pass scalar loop is
-  // the faster — and definitionally bit-identical — path.
-  if (target == CorrelatorTarget::kScalar) {
-    process_scalar(in, out);
-  } else {
-    process_blocked(target, in, out);
-  }
+  process_blocked(detail::correlator_dispatch_target(), in, out);
 }
 
 void SlidingCorrelator::process_blocked(CorrelatorTarget target,
                                         std::span<const float> in,
                                         std::span<float> out) {
+  // Without a vector ISA the blocked restructure is pure overhead (the
+  // dots fall back to dot_one anyway); the single-pass scalar loop is
+  // the faster — and definitionally bit-identical — path.
+  if (target == CorrelatorTarget::kScalar) {
+    process_scalar(in, out);
+    return;
+  }
   // Three passes per block, each matching the scalar reference's
   // per-sample op order exactly — the dot is a pure function of the
   // window, so deferring it past the bookkeeping changes nothing:

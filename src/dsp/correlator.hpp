@@ -98,11 +98,9 @@ class SlidingCorrelator {
                                             std::span<const float>,
                                             std::span<float>);
 
-  /// process(span) with the dots on `target` (which must be supported).
-  void process_on(detail::CorrelatorTarget target, std::span<const float> in,
-                  std::span<float> out);
-
-  /// The three-pass blocked batch loop behind the SIMD targets.
+  /// process(span) with the dots on `target` (which must be supported):
+  /// the three-pass blocked batch loop behind the SIMD targets, or
+  /// process_scalar for kScalar.
   void process_blocked(detail::CorrelatorTarget target,
                        std::span<const float> in, std::span<float> out);
 
