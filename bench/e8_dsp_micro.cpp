@@ -1,7 +1,6 @@
 // E8 — Feasibility table: throughput of each receive-chain stage in
 // samples (or chips) per second. A microcontroller-class decoder needs
-// the whole chain to clear the ADC rate with a large margin; these
-// numbers also put a floor under the flowgraph engine's overhead.
+// the whole chain to clear the ADC rate with a large margin.
 //
 // Self-timed (no external benchmark library): each stage owns its state
 // and runs `--trials` timed repetitions; repetition throughputs
@@ -30,8 +29,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/moving_average.hpp"
-#include "flowgraph/blocks_std.hpp"
-#include "flowgraph/graph.hpp"
 #include "phy/modem.hpp"
 #include "phy/preamble.hpp"
 #include "phy/slicer.hpp"
@@ -456,23 +453,6 @@ int main(int argc, char** argv) {
       receiver.reset();
       receiver.process(stream);
       g_sink = g_sink + static_cast<float>(frames);
-    });
-  });
-  add("flowgraph_throughput", [](std::size_t n) {
-    // Engine overhead: source -> moving average -> null sink.
-    return time_stage("flowgraph_throughput", 65536, 1, n, [&] {
-      fdb::fg::Graph graph;
-      auto source = std::make_shared<fdb::fg::VectorSourceF>(
-          std::vector<float>(65536, 1.0f));
-      auto avg = std::make_shared<fdb::fg::MovingAverageBlockF>(32);
-      auto sink = std::make_shared<fdb::fg::NullSinkF>();
-      const auto s = graph.add(source);
-      const auto a = graph.add(avg);
-      const auto k = graph.add(sink);
-      graph.connect(s, 0, a, 0);
-      graph.connect(a, 0, k, 0);
-      graph.run();
-      g_sink = g_sink + static_cast<float>(sink->consumed());
     });
   });
 

@@ -1,14 +1,16 @@
-// Flowgraph demo: wire the GNU-Radio-style engine into a small receive
-// chain — ambient OFDM source -> envelope detector -> moving average ->
-// stats probe — and print what a tag's detector actually sees, plus the
-// carrier's power spectrum.
+// Spectrum probe: run a tag's receive front end by hand — ambient OFDM
+// source -> envelope detector -> moving average -> running stats — and
+// print what the detector actually sees, plus the carrier's power
+// spectrum.
+#include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <vector>
 
 #include "channel/ambient_source.hpp"
+#include "dsp/envelope.hpp"
 #include "dsp/fft.hpp"
-#include "flowgraph/blocks_std.hpp"
-#include "flowgraph/graph.hpp"
+#include "dsp/moving_average.hpp"
+#include "util/stats.hpp"
 
 int main() {
   using namespace fdb;
@@ -31,35 +33,27 @@ int main() {
   std::printf("Carrier spectrum: %.0f%% of bins occupied, peak bin %.3g\n",
               100.0 * occupied / static_cast<double>(spectrum.size()), peak);
 
-  // Flowgraph: carrier -> envelope -> moving average -> stats probe.
-  fg::Graph graph;
-  auto src = std::make_shared<fg::VectorSourceC>(carrier);
-  auto env = std::make_shared<fg::EnvelopeBlock>(400e3, 2e6);
-  auto avg = std::make_shared<fg::MovingAverageBlockF>(64);
-  auto avg_probe = std::make_shared<fg::ProbeStatsF>();
+  // Carrier -> envelope -> 64-sample moving average, with running
+  // stats over both the raw and the averaged envelope.
+  std::vector<float> envelope(carrier.size());
+  dsp::EnvelopeDetector detector(400e3, 2e6);
+  detector.process(carrier, envelope);
+  std::vector<float> averaged(envelope.size());
+  dsp::MovingAverage<float>(64).process(envelope, averaged);
 
-  const auto i_src = graph.add(src);
-  const auto i_env = graph.add(env);
-  const auto i_avg = graph.add(avg);
-  const auto i_p2 = graph.add(avg_probe);
-  graph.connect(i_src, 0, i_env, 0);
-  graph.connect(i_env, 0, i_avg, 0);
-  graph.connect(i_avg, 0, i_p2, 0);
-  graph.run();
-
-  dsp::EnvelopeDetector direct(400e3, 2e6);
   RunningStats raw_stats;
-  for (const cf32 s : carrier) raw_stats.add(direct.process(s));
+  RunningStats avg_stats;
+  for (const float e : envelope) raw_stats.add(e);
+  for (const float a : averaged) avg_stats.add(a);
 
-  const auto& smooth = avg_probe->stats();
   std::printf("Envelope, raw      : mean %.3f  stddev %.3f"
               "  (fluctuation %.0f%%)\n",
               raw_stats.mean(), raw_stats.stddev(),
               100.0 * raw_stats.stddev() / raw_stats.mean());
   std::printf("Envelope, averaged : mean %.3f  stddev %.3f"
               "  (fluctuation %.0f%%)\n",
-              smooth.mean(), smooth.stddev(),
-              100.0 * smooth.stddev() / smooth.mean());
+              avg_stats.mean(), avg_stats.stddev(),
+              100.0 * avg_stats.stddev() / avg_stats.mean());
   std::puts("\nThis is why ambient backscatter integrates many samples per"
             " chip:\nthe raw OFDM envelope swings wildly, the averaged one"
             " is stable\nenough to slice a 1-2% backscatter swing on top.");

@@ -2,7 +2,7 @@
 // stream, frame after frame. Where BackscatterRx assumes one burst per
 // capture, StreamingReceiver runs a search->decode state machine with
 // bounded memory, suitable for live operation behind an envelope
-// detector (or as a flowgraph sink — see fg::FrameSinkBlock).
+// detector (dsp::EnvelopeDetector).
 //
 // Batch receive path: process(span) appends each chunk to a contiguous
 // history buffer once, then drains the buffered samples through the

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <span>
 
+#include "dsp/envelope.hpp"
 #include "util/rng.hpp"
 
 namespace fdb::phy {
@@ -45,6 +46,36 @@ TEST(StreamingReceiver, DecodesSingleFrameMidStream) {
   stream.insert(stream.end(), 3000, 1.0f);
 
   receiver.process(stream);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].status, Status::kOk);
+  EXPECT_EQ(frames[0].payload, payload);
+}
+
+TEST(StreamingReceiver, DecodesFrameFromIqStream) {
+  // The full receive chain from complex IQ: RC envelope detector into
+  // the streaming receiver.
+  ModemConfig config;
+  config.rates.samples_per_chip = 8;
+  config.rates.sample_rate_hz = 2e6;
+  BackscatterTx tx(config);
+  const std::vector<std::uint8_t> payload(24, 0x42);
+
+  // Complex IQ: carrier amplitude toggles with the antenna state.
+  std::vector<cf32> iq(2000, cf32{1.0f, 0.0f});
+  for (const auto s : tx.modulate_frame(payload)) {
+    iq.push_back(cf32{s ? 1.4f : 1.0f, 0.0f});
+  }
+  iq.insert(iq.end(), 2000, cf32{1.0f, 0.0f});
+
+  std::vector<float> envelope(iq.size());
+  dsp::EnvelopeDetector detector(/*rc_cutoff_hz=*/400e3,
+                                 config.rates.sample_rate_hz);
+  detector.process(iq, envelope);
+
+  std::vector<StreamFrame> frames;
+  StreamingReceiver receiver(config,
+                             [&](const StreamFrame& f) { frames.push_back(f); });
+  receiver.process(envelope);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].status, Status::kOk);
   EXPECT_EQ(frames[0].payload, payload);
