@@ -119,6 +119,7 @@ struct LinkSimSummary {
   /// moments merge stably, and the result is independent of how trials
   /// were grouped as long as the merge order is fixed.
   void merge(const LinkSimSummary& other);
+  bool operator==(const LinkSimSummary&) const = default;
 
   double data_ber() const { return data.rate(); }
   double aligned_data_ber() const { return data_aligned.rate(); }

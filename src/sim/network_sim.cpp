@@ -87,6 +87,17 @@ void NetworkSimConfig::validate() const {
         "NetworkSimConfig: tags must be non-empty (a network needs at "
         "least one tag)");
   }
+  for (std::size_t k = 0; k < tags.size(); ++k) {
+    // ReflectionStates::ook only asserts this, and Release builds drop
+    // the assert: rho <= 0 yields a NaN or dead reflector, rho > 1
+    // reflects more power than is incident.
+    const double rho = tags[k].reflection_rho;
+    if (!(rho > 0.0 && rho <= 1.0)) {
+      throw std::invalid_argument(
+          "NetworkSimConfig: tags[" + std::to_string(k) +
+          "].reflection_rho must be in (0, 1], got " + std::to_string(rho));
+    }
+  }
   if (!(tx_power_w > 0.0)) {
     throw std::invalid_argument(
         "NetworkSimConfig: tx_power_w must be positive, got " +
@@ -149,52 +160,7 @@ void NetworkTagStats::merge(const NetworkTagStats& other) {
   spent_j += other.spent_j;
 }
 
-void NetworkSimSummary::add(const NetworkTrialResult& trial) {
-  if (tags.empty()) tags.resize(trial.tags.size());
-  assert(tags.size() == trial.tags.size());
-  for (std::size_t k = 0; k < tags.size(); ++k) tags[k].merge(trial.tags[k]);
-  if (gateway_decodes.empty()) {
-    gateway_decodes.resize(trial.gateway_decodes.size());
-  }
-  assert(gateway_decodes.size() == trial.gateway_decodes.size());
-  for (std::size_t g = 0; g < gateway_decodes.size(); ++g) {
-    gateway_decodes[g] += trial.gateway_decodes[g];
-  }
-  ++trials;
-  slots += trial.slots;
-  busy_slots += trial.busy_slots;
-  useful_slots += trial.useful_slots;
-  wasted_slots += trial.wasted_slots;
-  collisions += trial.collisions;
-  sync_failures += trial.sync_failures;
-  detect_latency_slots.merge(trial.detect_latency_slots);
-  frames_resolved_analytic += trial.frames_resolved_analytic;
-  frames_escalated += trial.frames_escalated;
-  frames_culled += trial.frames_culled;
-  gateway_slots_synthesized += trial.gateway_slots_synthesized;
-  const std::uint64_t resolved =
-      trial.frames_resolved_analytic + trial.frames_escalated;
-  if (resolved) {
-    escalation_rate_trials.add(static_cast<double>(trial.frames_escalated) /
-                               static_cast<double>(resolved));
-  }
-  faulted_frames_attempted += trial.faulted_frames_attempted;
-  faulted_frames_delivered += trial.faulted_frames_delivered;
-  frames_lost_outage += trial.frames_lost_outage;
-  frames_lost_sag += trial.frames_lost_sag;
-  frames_lost_interference += trial.frames_lost_interference;
-  frames_lost_tag_fault += trial.frames_lost_tag_fault;
-  failovers += trial.failovers;
-  time_to_failover_slots.merge(trial.time_to_failover_slots);
-  relay_tx_frames += trial.relay_tx_frames;
-  relay_rx_frames += trial.relay_rx_frames;
-  relayed_delivered += trial.relayed_delivered;
-  relay_drops += trial.relay_drops;
-  relay_hops.merge(trial.relay_hops);
-}
-
-void NetworkSimSummary::merge(const NetworkSimSummary& other) {
-  if (other.trials == 0) return;
+void NetworkCounters::merge(const NetworkCounters& other) {
   if (tags.empty()) tags.resize(other.tags.size());
   assert(tags.size() == other.tags.size());
   for (std::size_t k = 0; k < tags.size(); ++k) tags[k].merge(other.tags[k]);
@@ -205,7 +171,6 @@ void NetworkSimSummary::merge(const NetworkSimSummary& other) {
   for (std::size_t g = 0; g < gateway_decodes.size(); ++g) {
     gateway_decodes[g] += other.gateway_decodes[g];
   }
-  trials += other.trials;
   slots += other.slots;
   busy_slots += other.busy_slots;
   useful_slots += other.useful_slots;
@@ -217,7 +182,6 @@ void NetworkSimSummary::merge(const NetworkSimSummary& other) {
   frames_escalated += other.frames_escalated;
   frames_culled += other.frames_culled;
   gateway_slots_synthesized += other.gateway_slots_synthesized;
-  escalation_rate_trials.merge(other.escalation_rate_trials);
   faulted_frames_attempted += other.faulted_frames_attempted;
   faulted_frames_delivered += other.faulted_frames_delivered;
   frames_lost_outage += other.frames_lost_outage;
@@ -231,6 +195,24 @@ void NetworkSimSummary::merge(const NetworkSimSummary& other) {
   relayed_delivered += other.relayed_delivered;
   relay_drops += other.relay_drops;
   relay_hops.merge(other.relay_hops);
+}
+
+void NetworkSimSummary::add(const NetworkTrialResult& trial) {
+  NetworkCounters::merge(trial);
+  ++trials;
+  const std::uint64_t resolved =
+      trial.frames_resolved_analytic + trial.frames_escalated;
+  if (resolved) {
+    escalation_rate_trials.add(static_cast<double>(trial.frames_escalated) /
+                               static_cast<double>(resolved));
+  }
+}
+
+void NetworkSimSummary::merge(const NetworkSimSummary& other) {
+  if (other.trials == 0) return;
+  NetworkCounters::merge(other);
+  trials += other.trials;
+  escalation_rate_trials.merge(other.escalation_rate_trials);
 }
 
 std::uint64_t NetworkSimSummary::frames_attempted() const {
@@ -406,106 +388,161 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
                         modulators_[k].harvest_fraction(true));
   }
 
-  // Static-channel cache (see the header): every expression below is
-  // copied verbatim from the per-trial build with fade_draw() replaced
-  // by StaticFading's exact {1, 0} gain and the coherence block pinned
-  // to 0 — with shadowing disabled amplitude_gain ignores the block, so
-  // the cached values are bit-identical to what any trial would build.
-  static_channel_ = config_.fading == "static" &&
-                    config_.pathloss.shadowing_sigma_db == 0.0;
-  if (static_channel_) {
-    const std::size_t n_tags = config_.tags.size();
-    const double amp_tx = std::sqrt(config_.tx_power_w);
-    const cf32 unit_fade{1.0f, 0.0f};
-    st_h_sr_.resize(n_gw);
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      st_h_sr_[g] = unit_fade *
-                    static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                    ambient_device_,
-                                                    gateway_device_[g], 0));
-    }
-    st_h_st_.resize(n_tags);
-    st_h_tr_.resize(n_tags * n_gw);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      st_h_st_[k] = unit_fade *
-                    static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                    ambient_device_,
-                                                    tag_device_[k], 0));
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        st_h_tr_[k * n_gw + g] =
-            unit_fade * static_cast<float>(scene_.amplitude_gain(
-                            tag_device_[k], gateway_device_[g], 0));
-      }
-    }
-    st_coup_on_.resize(n_tags * n_gw);
-    st_coup_off_.resize(n_tags * n_gw);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const auto& gamma = modulators_[k].states();
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        st_coup_on_[k * n_gw + g] =
-            st_h_tr_[k * n_gw + g] * gamma.gamma_reflect * st_h_st_[k];
-        st_coup_off_[k * n_gw + g] =
-            st_h_tr_[k * n_gw + g] * gamma.gamma_absorb * st_h_st_[k];
-      }
-    }
-    // Swing tables in SoA layout: delta feeds the margin classifier,
-    // half is the in-range-masked half-swing the interference fold
-    // adds (element-independent builds — the compiler vectorizes).
-    st_delta_.resize(n_tags * n_gw);
-    st_half_.resize(n_tags * n_gw);
-    for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
-      const std::size_t g = i % n_gw;
-      st_delta_[i] = static_cast<float>(
-          envelope_swing(st_h_sr_[g], st_coup_on_[i], st_coup_off_[i]));
-      st_half_[i] = in_range_[i] ? 0.5f * st_delta_[i] : 0.0f;
-    }
-    st_serving_.resize(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      std::size_t best = 0;
-      float best_mag = std::abs(st_h_tr_[k * n_gw]);
-      for (std::size_t g = 1; g < n_gw; ++g) {
-        const float mag = std::abs(st_h_tr_[k * n_gw + g]);
-        if (mag > best_mag) {
-          best_mag = mag;
-          best = g;
-        }
-      }
-      st_serving_[k] = best;
-    }
-    if (config_.relay.enabled && relay_topo_.num_links() > 0) {
-      st_delta_tt_.resize(relay_topo_.num_links());
-      for (const std::uint32_t k : relay_topo_.relay_children()) {
-        const auto cands = relay_topo_.candidates(k);
-        const std::size_t off = relay_topo_.link_offset(k);
-        const auto& gamma = modulators_[k].states();
-        for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-          const cf32 h_tp =
-              unit_fade * static_cast<float>(scene_.amplitude_gain(
-                              tag_device_[k], tag_device_[cands[ci]], 0));
-          st_delta_tt_[off + ci] = static_cast<float>(envelope_swing(
-              st_h_st_[cands[ci]], h_tp * gamma.gamma_reflect * st_h_st_[k],
-              h_tp * gamma.gamma_absorb * st_h_st_[k]));
-        }
-      }
-    }
-    // Per-slot harvest increments and the full-trial idle fold. The
-    // fold replays the exact add sequence the per-slot sweep performs,
-    // so crediting it in one += at trial end is bit-identical.
-    const double dt = slot_seconds();
-    st_h_idle_.resize(n_tags);
-    st_h_act_.resize(n_tags);
-    st_idle_sum_.resize(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const double p_inc = static_cast<double>(std::norm(st_h_st_[k]));
-      st_h_idle_[k] = harvester_.harvest(p_inc * hf_idle_[k], dt);
-      st_h_act_[k] = harvester_.harvest(p_inc * hf_act_[k], dt);
+  // Static-channel cache (see the header): the per-trial builder run
+  // once with StaticFading and coherence block 0 — with shadowing
+  // disabled amplitude_gain ignores the block, so these are the tables
+  // any trial would build.
+  if (config_.fading == "static" &&
+      config_.pathloss.shadowing_sigma_db == 0.0) {
+    auto st = std::make_shared<StaticChannel>();
+    channel::StaticFading fading;
+    Rng no_draws;  // StaticFading consumes no randomness
+    st->tables = build_channel(fading, no_draws, 0, st->arena);
+    // The fold replays the exact add sequence the per-slot sweep
+    // performs, so crediting it in one += at trial end is bit-identical.
+    st->idle_sum.resize(config_.tags.size());
+    for (std::size_t k = 0; k < config_.tags.size(); ++k) {
       double acc = 0.0;
       for (std::size_t s = 0; s < config_.slots_per_trial; ++s) {
-        acc += st_h_idle_[k];
+        acc += st->tables.h_idle[k];
       }
-      st_idle_sum_[k] = acc;
+      st->idle_sum[k] = acc;
+    }
+    static_channel_ = std::move(st);
+  }
+}
+
+NetworkSimulator::ChannelTables NetworkSimulator::build_channel(
+    channel::FadingProcess& fading, Rng& rng, std::uint64_t block,
+    SynthArena& arena) const {
+  const std::size_t n_tags = config_.tags.size();
+  const std::size_t n_gw = gateway_device_.size();
+  const auto fade_draw = [&]() {
+    fading.next_block(rng);
+    return fading.gain();
+  };
+  ChannelTables ch;
+
+  // Per-link complex gains: shadowing redraws reciprocally per coherence
+  // block inside the scene; small-scale fading draws come in fixed link
+  // order — gateways first, then per tag the ambient->tag gain followed
+  // by that tag's gain to every gateway (a single-gateway config
+  // reproduces the historical draw sequence exactly).
+  const double amp_tx = std::sqrt(config_.tx_power_w);
+  auto h_sr = arena.alloc<cf32>(n_gw);
+  for (std::size_t g = 0; g < n_gw; ++g) {
+    h_sr[g] = fade_draw() *
+              static_cast<float>(amp_tx * scene_.amplitude_gain(
+                                              ambient_device_,
+                                              gateway_device_[g], block));
+  }
+  auto h_st = arena.alloc<cf32>(n_tags);  // ambient -> tag (w/ power)
+  auto h_tr = arena.alloc<cf32>(n_tags * n_gw);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    h_st[k] = fade_draw() *
+              static_cast<float>(amp_tx * scene_.amplitude_gain(
+                                              ambient_device_,
+                                              tag_device_[k], block));
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      h_tr[k * n_gw + g] =
+          fade_draw() * static_cast<float>(scene_.amplitude_gain(
+                            tag_device_[k], gateway_device_[g], block));
     }
   }
+  ch.h_sr = h_sr;
+  ch.h_tr = h_tr;
+
+  // Tag-tag hop links (relaying): gains drawn in (child, candidate)
+  // order right after the gateway links, so enabling relaying extends
+  // the draw sequence instead of reordering it. Each entry is the
+  // envelope swing the parent tag sees of the child's reflection riding
+  // on the parent's own ambient carrier.
+  if (config_.relay.enabled && relay_topo_.num_links() > 0) {
+    auto delta_tt = arena.alloc<float>(relay_topo_.num_links());
+    for (const std::uint32_t k : relay_topo_.relay_children()) {
+      const auto cands = relay_topo_.candidates(k);
+      const std::size_t off = relay_topo_.link_offset(k);
+      const auto& gamma = modulators_[k].states();
+      for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+        const cf32 h_tp =
+            fade_draw() * static_cast<float>(scene_.amplitude_gain(
+                              tag_device_[k], tag_device_[cands[ci]], block));
+        delta_tt[off + ci] = static_cast<float>(envelope_swing(
+            h_st[cands[ci]], h_tp * gamma.gamma_reflect * h_st[k],
+            h_tp * gamma.gamma_absorb * h_st[k]));
+      }
+    }
+    ch.delta_tt = delta_tt;
+  }
+
+  // Serving gateway per tag (kBestGateway): strongest tag->gateway link
+  // of this block, fading and shadowing included; ties to the lowest
+  // index. A single gateway always serves.
+  auto serving = arena.alloc<std::size_t>(n_tags);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    std::size_t best = 0;
+    float best_mag = std::abs(h_tr[k * n_gw]);
+    for (std::size_t g = 1; g < n_gw; ++g) {
+      const float mag = std::abs(h_tr[k * n_gw + g]);
+      if (mag > best_mag) {
+        best_mag = mag;
+        best = g;
+      }
+    }
+    serving[k] = best;
+  }
+  ch.serving = serving;
+
+  // Shared per-link reflection couplings, exactly as the synthesizer
+  // folds them: every consumer — the analytic swing table, the per-slot
+  // batched synthesis and the escalation path — reads these instead of
+  // recomputing the product per (slot, tag, gateway).
+  auto coup_on = arena.alloc<cf32>(n_tags * n_gw);
+  auto coup_off = arena.alloc<cf32>(n_tags * n_gw);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    const auto& gamma = modulators_[k].states();
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      coup_on[k * n_gw + g] =
+          h_tr[k * n_gw + g] * gamma.gamma_reflect * h_st[k];
+      coup_off[k * n_gw + g] =
+          h_tr[k * n_gw + g] * gamma.gamma_absorb * h_st[k];
+    }
+  }
+  ch.coup_on = coup_on;
+  ch.coup_off = coup_off;
+
+  // Per-slot harvest increments of each tag in its two activity states,
+  // so the energy path is table adds instead of per-(tag, slot)
+  // harvester evaluations.
+  const double dt = slot_seconds();
+  auto h_idle = arena.alloc<double>(n_tags);
+  auto h_act = arena.alloc<double>(n_tags);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    const double p_inc = static_cast<double>(std::norm(h_st[k]));
+    h_idle[k] = harvester_.harvest(p_inc * hf_idle_[k], dt);
+    h_act[k] = harvester_.harvest(p_inc * hf_act_[k], dt);
+  }
+  ch.h_idle = h_idle;
+  ch.h_act = h_act;
+
+  // Analytic fast path: envelope swing of every (tag, gateway) link —
+  // exact for the block-static channel — in SoA layout (`delta` feeds
+  // the classifier, `half` is the in-range-masked half-swing the
+  // interference fold adds).
+  if (config_.fleet.fidelity != FidelityMode::kWaveform ||
+      config_.fleet.record_frames) {
+    auto delta = arena.alloc<float>(n_tags * n_gw);
+    auto half = arena.alloc<float>(n_tags * n_gw);
+    for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
+      const std::size_t g = i % n_gw;
+      delta[i] =
+          static_cast<float>(envelope_swing(h_sr[g], coup_on[i], coup_off[i]));
+      half[i] = in_range_[i] ? 0.5f * delta[i] : 0.0f;
+    }
+    ch.delta = delta;
+    ch.half = half;
+  }
+  return ch;
 }
 
 double NetworkSimulator::slot_seconds() const {
@@ -600,110 +637,18 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
   Rng rng = Rng::substream(config_.seed, trial_index);
   const auto source = channel::make_ambient_source(config_.carrier, rng());
 
-  // Per-link complex gains for this trial: shadowing redraws reciprocally
-  // per coherence block (= trial) inside the scene; small-scale fading
-  // draws come from the trial generator in fixed link order — gateways
-  // first, then per tag the ambient->tag gain followed by that tag's
-  // gain to every gateway (a single-gateway config reproduces the
-  // historical draw sequence exactly).
-  //
-  // With a static channel (static fading, no shadowing) every table
-  // below is trial-invariant and the spans point at the construction
-  // cache instead — zero RNG draws skipped, since StaticFading consumes
-  // none, so the rest of the trial's draw sequence is untouched.
+  // Channel realisation of this trial: coherence block = trial index,
+  // fading drawn from the trial generator right after the source seed.
+  // With a static channel every table is trial-invariant and the trial
+  // reads the construction cache instead — zero RNG draws skipped, since
+  // StaticFading consumes none, so the rest of the trial's draw sequence
+  // is untouched.
   const bool relay_on = config_.relay.enabled && relay_topo_.num_links() > 0;
-  std::span<const cf32> h_sr{}, h_st{}, h_tr{}, coup_on{}, coup_off{};
-  std::span<const float> delta{}, half{}, delta_tt{};
-  std::span<const std::size_t> serving{};
-  std::span<const double> h_idle{}, h_act{};
-  if (static_channel_) {
-    h_sr = st_h_sr_;
-    h_st = st_h_st_;
-    h_tr = st_h_tr_;
-    coup_on = st_coup_on_;
-    coup_off = st_coup_off_;
-    delta = st_delta_;
-    half = st_half_;
-    serving = st_serving_;
-    h_idle = st_h_idle_;
-    h_act = st_h_act_;
-    if (relay_on) delta_tt = st_delta_tt_;
-  } else {
-    auto fading = channel::make_fading(config_.fading, rng);
-    const auto fade_draw = [&]() {
-      fading->next_block(rng);
-      return fading->gain();
-    };
-    const double amp_tx = std::sqrt(config_.tx_power_w);
-    auto h_sr_m = arena.alloc<cf32>(n_gw);  // ambient -> gateway leakage
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      h_sr_m[g] = fade_draw() *
-                  static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                  ambient_device_,
-                                                  gateway_device_[g],
-                                                  trial_index));
-    }
-    auto h_st_m = arena.alloc<cf32>(n_tags);  // ambient -> tag (w/ power)
-    auto h_tr_m = arena.alloc<cf32>(n_tags * n_gw);  // tag -> gw, tag-major
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      h_st_m[k] = fade_draw() *
-                  static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                  ambient_device_,
-                                                  tag_device_[k],
-                                                  trial_index));
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        h_tr_m[k * n_gw + g] =
-            fade_draw() *
-            static_cast<float>(scene_.amplitude_gain(
-                tag_device_[k], gateway_device_[g], trial_index));
-      }
-    }
-    h_sr = h_sr_m;
-    h_st = h_st_m;
-    h_tr = h_tr_m;
-
-    // Tag-tag hop links (relaying): per-trial gains drawn in (child,
-    // candidate) order right after the gateway links, so enabling
-    // relaying extends the draw sequence instead of reordering it. Each
-    // entry is the envelope swing the parent tag sees of the child's
-    // reflection riding on the parent's own ambient carrier.
-    if (relay_on) {
-      auto delta_tt_m = arena.alloc<float>(relay_topo_.num_links());
-      for (const std::uint32_t k : relay_topo_.relay_children()) {
-        const auto cands = relay_topo_.candidates(k);
-        const std::size_t off = relay_topo_.link_offset(k);
-        const auto& gamma = modulators_[k].states();
-        for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-          const cf32 h_tp =
-              fade_draw() *
-              static_cast<float>(scene_.amplitude_gain(
-                  tag_device_[k], tag_device_[cands[ci]], trial_index));
-          delta_tt_m[off + ci] = static_cast<float>(envelope_swing(
-              h_st[cands[ci]], h_tp * gamma.gamma_reflect * h_st[k],
-              h_tp * gamma.gamma_absorb * h_st[k]));
-        }
-      }
-      delta_tt = delta_tt_m;
-    }
-
-    // Serving gateway per tag (kBestGateway): strongest tag->gateway
-    // link of this trial, fading and shadowing included; ties to the
-    // lowest index. A single gateway always serves.
-    auto serving_m = arena.alloc<std::size_t>(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      std::size_t best = 0;
-      float best_mag = std::abs(h_tr[k * n_gw]);
-      for (std::size_t g = 1; g < n_gw; ++g) {
-        const float mag = std::abs(h_tr[k * n_gw + g]);
-        if (mag > best_mag) {
-          best_mag = mag;
-          best = g;
-        }
-      }
-      serving_m[k] = best;
-    }
-    serving = serving_m;
-  }
+  const ChannelTables ch =
+      static_channel_
+          ? static_channel_->tables
+          : build_channel(*channel::make_fading(config_.fading, rng), rng,
+                          trial_index, arena);
 
   // Dead-gateway failover (opt-in, kBestGateway): serving_now is the
   // *current* serving gateway — re-selected when a failure streak hits
@@ -714,7 +659,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
   const bool failover_on = config_.failover_streak_frames > 0 && n_gw > 1 &&
                            config_.combining == GatewayCombining::kBestGateway;
   auto serving_now = arena.alloc<std::size_t>(n_tags);
-  for (std::size_t k = 0; k < n_tags; ++k) serving_now[k] = serving[k];
+  for (std::size_t k = 0; k < n_tags; ++k) serving_now[k] = ch.serving[k];
   constexpr std::uint64_t kFailoverSalt = 0xfa110feedULL;
   Rng failover_rng = Rng::substream(config_.seed ^ kFailoverSalt, trial_index);
   std::vector<std::size_t> fail_streak;
@@ -745,45 +690,6 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     etx_success.assign(relay_topo_.num_links(), 0);
     relay_fail_streak.assign(n_tags, 0);
     relay_streak_start.assign(n_tags, 0);
-  }
-
-  // Shared per-link reflection couplings, precomputed once per trial
-  // (they are trial-constant): the composed ambient->tag->gateway
-  // coefficient of each switch position, exactly as the synthesizer
-  // folds them (h_tag->gw * Gamma(state) * h_ambient->tag, left to
-  // right). Every consumer — the analytic swing table, the per-slot
-  // batched synthesis and the escalation path — reads these tables
-  // instead of recomputing the product per (slot, tag, gateway). The
-  // static-channel cache carries them already.
-  if (!static_channel_) {
-    auto coup_on_m = arena.alloc<cf32>(n_tags * n_gw);
-    auto coup_off_m = arena.alloc<cf32>(n_tags * n_gw);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const auto& gamma = modulators_[k].states();
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        coup_on_m[k * n_gw + g] =
-            h_tr[k * n_gw + g] * gamma.gamma_reflect * h_st[k];
-        coup_off_m[k * n_gw + g] =
-            h_tr[k * n_gw + g] * gamma.gamma_absorb * h_st[k];
-      }
-    }
-    coup_on = coup_on_m;
-    coup_off = coup_off_m;
-  }
-
-  // Per-slot harvest increments of each tag in its two activity states:
-  // pure functions of the trial channel, precomputed so the energy path
-  // is table adds instead of per-(tag, slot) harvester evaluations.
-  if (!static_channel_) {
-    auto h_idle_m = arena.alloc<double>(n_tags);
-    auto h_act_m = arena.alloc<double>(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const double p_inc = static_cast<double>(std::norm(h_st[k]));
-      h_idle_m[k] = harvester_.harvest(p_inc * hf_idle_[k], dt);
-      h_act_m[k] = harvester_.harvest(p_inc * hf_act_[k], dt);
-    }
-    h_idle = h_idle_m;
-    h_act = h_act_m;
   }
 
   // Ambient carrier realisation for the whole trial, so any decode
@@ -854,30 +760,16 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     coeff_scratch = arena.alloc<cf32>(slot_samples_);
   }
 
-  // Analytic fast path: per-trial envelope swing of every (tag,
-  // gateway) link — exact for the block-static channel — in SoA layout
-  // (`delta` feeds the classifier, `half` is the in-range-masked
-  // half-swing the interference fold adds). The reference engine keeps
-  // the historical per-(gateway, slot) interference-sum rows; the
-  // active engine instead folds a running per-(tag, gateway) segment
+  // Analytic fast path: interference bookkeeping over the channel's
+  // swing tables. The reference engine keeps the historical
+  // per-(gateway, slot) interference-sum rows; the active engine
+  // instead folds a running per-(tag, gateway) segment
   // max while the frame is on air, so resolving a frame stops
   // rescanning its whole slot window (max is exact and
   // order-independent, hence bit-identical).
   std::span<float> i_sum{};
   std::span<float> i_max{};
   if (analytic_on) {
-    if (!static_channel_) {
-      auto delta_m = arena.alloc<float>(n_tags * n_gw);
-      auto half_m = arena.alloc<float>(n_tags * n_gw);
-      for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
-        const std::size_t g = i % n_gw;
-        delta_m[i] = static_cast<float>(
-            envelope_swing(h_sr[g], coup_on[i], coup_off[i]));
-        half_m[i] = in_range_[i] ? 0.5f * delta_m[i] : 0.0f;
-      }
-      delta = delta_m;
-      half = half_m;
-    }
     if constexpr (ActiveSet) {
       i_max = arena.alloc<float>(n_tags * n_gw);  // rows zeroed per frame
     } else {
@@ -1035,10 +927,10 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
   // and draw failures land bit-identically; e_next[k] is the first slot
   // whose recurrence has not been applied yet).
   const auto idle_step = [&](std::size_t k) {
-    res.tags[k].harvested_j += h_idle[k];
+    res.tags[k].harvested_j += ch.h_idle[k];
     if (!config_.energy_gating) return;
     TagRt& tag = rt[k];
-    tag.storage.charge(h_idle[k]);
+    tag.storage.charge(ch.h_idle[k]);
     tag.storage.tick(dt);
     tag.ledger.spend(energy::TagState::kListening, dt);
     // A failed draw while merely listening drains the store but is not
@@ -1047,10 +939,10 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     tag.storage.draw(config_.power.power(energy::TagState::kListening) * dt);
   };
   const auto active_step = [&](std::size_t k) {
-    res.tags[k].harvested_j += h_act[k];
+    res.tags[k].harvested_j += ch.h_act[k];
     if (!config_.energy_gating) return;
     TagRt& tag = rt[k];
-    tag.storage.charge(h_act[k]);
+    tag.storage.charge(ch.h_act[k]);
     tag.storage.tick(dt);
     tag.ledger.spend(energy::TagState::kBackscattering, dt);
     if (!tag.storage.draw(
@@ -1097,7 +989,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
       }
     }
     double own = in_range_[k * n_gw + g]
-                     ? 0.5 * static_cast<double>(delta[k * n_gw + g])
+                     ? 0.5 * static_cast<double>(ch.delta[k * n_gw + g])
                      : 0.0;
     if (has_faults) {
       own *= fplan.min_signal_scale(g, tag.start_slot,
@@ -1227,7 +1119,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     float best_mag = -1.0f;
     for (std::size_t g = 0; g < n_gw; ++g) {
       if (blacklist_until[k * n_gw + g] > learn_slot) continue;
-      const float mag = std::abs(h_tr[k * n_gw + g]);
+      const float mag = std::abs(ch.h_tr[k * n_gw + g]);
       if (mag > best_mag) {
         best_mag = mag;
         best = g;
@@ -1299,7 +1191,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     const std::uint32_t parent = relay_topo_.candidates(k)[ci];
     ++etx_attempts[off + ci];
     const double margin = analytic_margin_db(
-        delta_tt[off + ci], 0.0, hop_noise_sigma, rates.samples_per_chip,
+        ch.delta_tt[off + ci], 0.0, hop_noise_sigma, rates.samples_per_chip,
         fleet.analytic_target_ber);
     const bool success =
         !tag.overlapped && margin >= config_.relay.min_margin_db;
@@ -1417,12 +1309,12 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
                   fl.states.data() +
                   static_cast<std::size_t>(s - fl.start_slot) *
                       slot_samples_;
-              slot_on[n_ent] = coup_on[fl.tag * n_gw + g];
-              slot_off[n_ent] = coup_off[fl.tag * n_gw + g];
+              slot_on[n_ent] = ch.coup_on[fl.tag * n_gw + g];
+              slot_off[n_ent] = ch.coup_off[fl.tag * n_gw + g];
               ++n_ent;
             }
             WaveformSynthesizer::synthesize_slot_gateway(
-                carrier, h_sr[g],
+                carrier, ch.h_sr[g],
                 std::span<const std::uint8_t* const>(mask_ptrs.data(),
                                                      n_ent),
                 std::span<const cf32>(slot_on.data(), n_ent),
@@ -1519,7 +1411,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
           gw_margin[g] = -std::numeric_limits<double>::infinity();
           continue;
         }
-        const double d = delta[k * n_gw + g];
+        const double d = ch.delta[k * n_gw + g];
         const double interf = worst_interference(k, g);
         double margin;
         if (has_faults) {
@@ -1843,12 +1735,12 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
       }
       for (std::size_t g = 0; g < n_gw; ++g) {
         for (std::size_t e = 0; e < active.size(); ++e) {
-          slot_on[e] = coup_on[active[e] * n_gw + g];
-          slot_off[e] = coup_off[active[e] * n_gw + g];
+          slot_on[e] = ch.coup_on[active[e] * n_gw + g];
+          slot_off[e] = ch.coup_off[active[e] * n_gw + g];
         }
         const auto gw_slot = rx_slot.subspan(g * slot_samples_, slot_samples_);
         WaveformSynthesizer::synthesize_slot_gateway(
-            carrier, h_sr[g],
+            carrier, ch.h_sr[g],
             std::span<const std::uint8_t* const>(mask_ptrs.data(),
                                                  active.size()),
             std::span<const cf32>(slot_on.data(), active.size()),
@@ -1880,7 +1772,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
           for (std::size_t g = 0; g < n_gw; ++g) {
             float sum = 0.0f;
             for (const std::size_t k : active) {
-              if (in_range_[k * n_gw + g]) sum += half[k * n_gw + g];
+              if (in_range_[k * n_gw + g]) sum += ch.half[k * n_gw + g];
             }
             if (has_faults) {
               sum = sum * fplan.signal_scale(g, slot) +
@@ -1899,7 +1791,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
         for (std::size_t g = 0; g < n_gw; ++g) {
           float sum = 0.0f;
           for (const std::size_t k : active) {
-            if (in_range_[k * n_gw + g]) sum += half[k * n_gw + g];
+            if (in_range_[k * n_gw + g]) sum += ch.half[k * n_gw + g];
           }
           if (has_faults) {
             sum = sum * fplan.signal_scale(g, slot) +
@@ -2085,7 +1977,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     rt[k].st = TagRt::St::kBackoff;
     if constexpr (ActiveSet) {
       if (static_channel_ && !config_.energy_gating && e_next[k] == 0) {
-        res.tags[k].harvested_j += st_idle_sum_[k];
+        res.tags[k].harvested_j += static_channel_->idle_sum[k];
       } else {
         ff_idle(k, slots);
       }

@@ -51,10 +51,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "channel/backscatter.hpp"
+#include "channel/fading.hpp"
 #include "channel/pathloss.hpp"
 #include "channel/scene.hpp"
 #include "core/fd_modem.hpp"
@@ -193,6 +195,7 @@ struct NetworkTagStats {
   double spent_j = 0.0;
 
   void merge(const NetworkTagStats& other);
+  bool operator==(const NetworkTagStats&) const = default;
 };
 
 /// One resolved frame attempt, logged when FleetConfig::record_frames
@@ -209,10 +212,14 @@ struct FrameRecord {
   double margin_db = 0.0;
   bool delivered = false;
   bool escalated = false;  ///< resolved by escalated synthesis (kHybrid)
+
+  bool operator==(const FrameRecord&) const = default;
 };
 
-/// Outcome of one trial (slots_per_trial block-times of network time).
-struct NetworkTrialResult {
+/// The counters one trial produces and a summary accumulates, declared
+/// once: NetworkTrialResult and NetworkSimSummary both inherit them, and
+/// merge() is the single place a new counter must be folded in.
+struct NetworkCounters {
   std::vector<NetworkTagStats> tags;
   /// Per-gateway decode successes of resolved frames (a frame several
   /// gateways decode counts once per gateway) — the receive-diversity
@@ -273,52 +280,35 @@ struct NetworkTrialResult {
   /// Hop count (originator to gateway) of relay-delivered frames.
   RunningStats relay_hops;
 
+  /// Adds `other` field by field; an empty `tags`/`gateway_decodes`
+  /// adopts the other side's size. Integer counters add exactly, so
+  /// merging in a fixed order is bit-identical at any job count.
+  void merge(const NetworkCounters& other);
+  bool operator==(const NetworkCounters&) const = default;
+};
+
+/// Outcome of one trial (slots_per_trial block-times of network time).
+struct NetworkTrialResult : NetworkCounters {
   /// Per-frame log; filled only when FleetConfig::record_frames.
   std::vector<FrameRecord> frames;
+
+  bool operator==(const NetworkTrialResult&) const = default;
 };
 
 /// Aggregate over many trials; mergeable in chunk order (see
 /// ExperimentRunner::run_chunked) with bit-identical results at any job
-/// count.
-struct NetworkSimSummary {
-  std::vector<NetworkTagStats> tags;
-  std::vector<std::uint64_t> gateway_decodes;
+/// count. Beyond the shared counters it keeps what only exists across
+/// trials: the trial count and the per-trial escalation-rate samples.
+struct NetworkSimSummary : NetworkCounters {
   std::uint64_t trials = 0;
-  std::uint64_t slots = 0;
-  std::uint64_t busy_slots = 0;
-  std::uint64_t useful_slots = 0;
-  std::uint64_t wasted_slots = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t sync_failures = 0;
-  RunningStats detect_latency_slots;
-
-  std::uint64_t frames_resolved_analytic = 0;
-  std::uint64_t frames_escalated = 0;
-  std::uint64_t frames_culled = 0;
-  std::uint64_t gateway_slots_synthesized = 0;
   /// Per-trial escalated fraction (frames_escalated / resolved frames),
   /// one sample per trial that resolved at least one frame — the
   /// escalation-rate distribution of a hybrid run.
   RunningStats escalation_rate_trials;
 
-  // Resilience aggregate (see NetworkTrialResult for semantics).
-  std::uint64_t faulted_frames_attempted = 0;
-  std::uint64_t faulted_frames_delivered = 0;
-  std::uint64_t frames_lost_outage = 0;
-  std::uint64_t frames_lost_sag = 0;
-  std::uint64_t frames_lost_interference = 0;
-  std::uint64_t frames_lost_tag_fault = 0;
-  std::uint64_t failovers = 0;
-  RunningStats time_to_failover_slots;
-
-  std::uint64_t relay_tx_frames = 0;
-  std::uint64_t relay_rx_frames = 0;
-  std::uint64_t relayed_delivered = 0;
-  std::uint64_t relay_drops = 0;
-  RunningStats relay_hops;
-
   void add(const NetworkTrialResult& trial);
   void merge(const NetworkSimSummary& other);
+  bool operator==(const NetworkSimSummary&) const = default;
 
   std::uint64_t frames_attempted() const;
   std::uint64_t frames_delivered() const;
@@ -498,6 +488,33 @@ class NetworkSimulator {
                                     SynthArena& arena,
                                     TrialStageTimes* stages) const;
 
+  /// One realisation of the per-link channel: the tables every trial
+  /// stage reads, as views into storage the builder carved from an
+  /// arena. Tag-major [tag * n_gw + gw] where indexed per link.
+  struct ChannelTables {
+    std::span<const cf32> h_sr;      ///< ambient -> gateway leakage
+    std::span<const cf32> h_tr;      ///< tag -> gateway
+    /// Composed ambient -> tag -> gateway coupling of each switch
+    /// position (h_tag->gw * Gamma * h_ambient->tag, left to right).
+    std::span<const cf32> coup_on;
+    std::span<const cf32> coup_off;
+    /// Per-link envelope swing and its in-range-masked half (SoA);
+    /// empty unless the margin classifier runs.
+    std::span<const float> delta;
+    std::span<const float> half;
+    std::span<const float> delta_tt;       ///< tag-tag relay hop swings
+    std::span<const std::size_t> serving;  ///< best-link gateway per tag
+    std::span<const double> h_idle;  ///< per-slot idle harvest increment
+    std::span<const double> h_act;   ///< per-slot reflecting increment
+  };
+
+  /// Draws coherence block `block` of the channel from `fading` (which
+  /// consumes `rng` in fixed link order: gateways, then per tag the
+  /// ambient->tag gain and its gateway gains, then relay hop links) and
+  /// derives every table from those gains, carving storage from `arena`.
+  ChannelTables build_channel(channel::FadingProcess& fading, Rng& rng,
+                              std::uint64_t block, SynthArena& arena) const;
+
   NetworkSimConfig config_;
   channel::Scene scene_;
   std::size_t ambient_device_ = 0;
@@ -540,28 +557,20 @@ class NetworkSimulator {
   std::vector<double> hf_act_;
 
   // Static-channel cache: with static fading and shadowing disabled
-  // every per-trial channel quantity is trial-invariant (StaticFading
-  // consumes no randomness and Scene::amplitude_gain no longer depends
-  // on the coherence block), so the gain/coupling/swing tables and the
-  // per-slot harvest increments are computed once at construction by
-  // the same expressions the per-trial build uses. Trials point spans
-  // at these vectors instead of rebuilding them — bit-identical values
-  // and zero RNG draws skipped.
-  bool static_channel_ = false;
-  std::vector<cf32> st_h_sr_;      ///< ambient -> gateway leakage
-  std::vector<cf32> st_h_st_;      ///< ambient -> tag (incl. tx power)
-  std::vector<cf32> st_h_tr_;      ///< tag -> gateway, tag-major
-  std::vector<cf32> st_coup_on_;   ///< composed reflect coupling
-  std::vector<cf32> st_coup_off_;  ///< composed absorb coupling
-  std::vector<float> st_delta_;    ///< per-(tag, gw) envelope swing
-  std::vector<float> st_half_;     ///< in-range-masked half swings (SoA)
-  std::vector<float> st_delta_tt_;      ///< tag-tag relay swings
-  std::vector<std::size_t> st_serving_; ///< best-link gateway per tag
-  std::vector<double> st_h_idle_;  ///< per-slot idle harvest increment
-  std::vector<double> st_h_act_;   ///< per-slot reflecting increment
-  /// Full-trial fold of slots_per_trial idle harvest adds per tag: the
-  /// harvested_j of a tag that never transmits, in one lookup.
-  std::vector<double> st_idle_sum_;
+  // every channel table is trial-invariant (StaticFading consumes no
+  // randomness and Scene::amplitude_gain ignores the coherence block),
+  // so the constructor runs build_channel once and trials read the
+  // result instead of rebuilding it — bit-identical values and zero RNG
+  // draws skipped. Immutable after construction and shared by
+  // concurrent trials; shared ownership keeps the simulator copyable.
+  struct StaticChannel {
+    SynthArena arena;  ///< owns the tables' storage
+    ChannelTables tables;
+    /// Full-trial fold of slots_per_trial idle harvest adds per tag: the
+    /// harvested_j of a tag that never transmits, in one lookup.
+    std::vector<double> idle_sum;
+  };
+  std::shared_ptr<const StaticChannel> static_channel_;  ///< null = per trial
 };
 
 }  // namespace fdb::sim

@@ -33,6 +33,9 @@ class RunningStats {
   double max() const { return max_; }
   double sum() const { return mean_ * static_cast<double>(n_); }
 
+  /// Exact state equality, for pinning bit-identical merges.
+  bool operator==(const RunningStats&) const = default;
+
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -61,6 +64,7 @@ class ErrorRateCounter {
   }
   std::uint64_t errors() const { return errors_; }
   std::uint64_t trials() const { return trials_; }
+  bool operator==(const ErrorRateCounter&) const = default;
   double rate() const {
     return trials_ ? static_cast<double>(errors_) / static_cast<double>(trials_)
                    : 0.0;

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "sim/network_sim.hpp"
 #include "sim/runner.hpp"
@@ -36,56 +37,6 @@ NetworkSimSummary run_reference(const NetworkSimulator& sim,
   return acc;
 }
 
-void expect_summaries_identical(const NetworkSimSummary& a,
-                                const NetworkSimSummary& b) {
-  ASSERT_EQ(a.tags.size(), b.tags.size());
-  ASSERT_EQ(a.gateway_decodes.size(), b.gateway_decodes.size());
-  for (std::size_t g = 0; g < a.gateway_decodes.size(); ++g) {
-    EXPECT_EQ(a.gateway_decodes[g], b.gateway_decodes[g]);
-  }
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.slots, b.slots);
-  EXPECT_EQ(a.busy_slots, b.busy_slots);
-  EXPECT_EQ(a.useful_slots, b.useful_slots);
-  EXPECT_EQ(a.wasted_slots, b.wasted_slots);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.sync_failures, b.sync_failures);
-  EXPECT_EQ(a.frames_resolved_analytic, b.frames_resolved_analytic);
-  EXPECT_EQ(a.frames_escalated, b.frames_escalated);
-  EXPECT_EQ(a.frames_culled, b.frames_culled);
-  EXPECT_EQ(a.faulted_frames_attempted, b.faulted_frames_attempted);
-  EXPECT_EQ(a.faulted_frames_delivered, b.faulted_frames_delivered);
-  EXPECT_EQ(a.frames_lost_outage, b.frames_lost_outage);
-  EXPECT_EQ(a.frames_lost_sag, b.frames_lost_sag);
-  EXPECT_EQ(a.frames_lost_interference, b.frames_lost_interference);
-  EXPECT_EQ(a.frames_lost_tag_fault, b.frames_lost_tag_fault);
-  EXPECT_EQ(a.relay_tx_frames, b.relay_tx_frames);
-  EXPECT_EQ(a.relay_rx_frames, b.relay_rx_frames);
-  EXPECT_EQ(a.relayed_delivered, b.relayed_delivered);
-  EXPECT_EQ(a.detect_latency_slots.count(), b.detect_latency_slots.count());
-  // Bit-identical, not approximately equal: the merge tree is fixed.
-  EXPECT_EQ(a.detect_latency_slots.mean(), b.detect_latency_slots.mean());
-  EXPECT_EQ(a.detect_latency_slots.variance(),
-            b.detect_latency_slots.variance());
-  for (std::size_t k = 0; k < a.tags.size(); ++k) {
-    EXPECT_EQ(a.tags[k].frames_attempted, b.tags[k].frames_attempted)
-        << "tag " << k;
-    EXPECT_EQ(a.tags[k].frames_delivered, b.tags[k].frames_delivered)
-        << "tag " << k;
-    EXPECT_EQ(a.tags[k].frames_collided, b.tags[k].frames_collided)
-        << "tag " << k;
-    EXPECT_EQ(a.tags[k].frames_aborted, b.tags[k].frames_aborted)
-        << "tag " << k;
-    EXPECT_EQ(a.tags[k].payload_bits_delivered,
-              b.tags[k].payload_bits_delivered)
-        << "tag " << k;
-    EXPECT_EQ(a.tags[k].energy_outages, b.tags[k].energy_outages)
-        << "tag " << k;
-    EXPECT_EQ(a.tags[k].harvested_j, b.tags[k].harvested_j) << "tag " << k;
-    EXPECT_EQ(a.tags[k].spent_j, b.tags[k].spent_j) << "tag " << k;
-  }
-}
-
 /// Runs the reference oracle serially and the active-set engine at
 /// jobs 1 and 8, and pins all three summaries EXPECT_EQ-identical.
 void expect_engines_agree(const NetworkSimConfig& config,
@@ -94,37 +45,67 @@ void expect_engines_agree(const NetworkSimConfig& config,
   const auto ref = run_reference(sim, trials);
   {
     SCOPED_TRACE("active jobs=1 vs reference");
-    expect_summaries_identical(run_active(sim, trials, 1), ref);
+    EXPECT_EQ(run_active(sim, trials, 1), ref);
   }
   {
     SCOPED_TRACE("active jobs=8 vs reference");
-    expect_summaries_identical(run_active(sim, trials, 8), ref);
+    EXPECT_EQ(run_active(sim, trials, 8), ref);
   }
 }
 
 // ----- scenario x MAC x fault x energy-gating golden matrix ----------
 
-TEST(ActiveSetEngine, EnergyStarvedGatedMatchesReference) {
+NetworkSimConfig energy_starved_gated_config() {
   auto scenario = make_scenario("energy-starved", 12, 17);
   scenario.config.slots_per_trial = 128;
-  ASSERT_TRUE(scenario.config.energy_gating)
-      << "scenario should exercise the gated wake path";
-  expect_engines_agree(scenario.config);
+  return scenario.config;
 }
 
-TEST(ActiveSetEngine, FadingSweepWithFaultsMatchesReference) {
+NetworkSimConfig fading_with_faults_config() {
   auto scenario = make_scenario("fading-sweep", 10, 23);
   scenario.config.slots_per_trial = 128;
   scenario.config.faults.intensity = 0.2;
-  expect_engines_agree(scenario.config);
+  return scenario.config;
+}
+
+NetworkSimConfig mesh_relay_config() {
+  auto scenario = make_scenario("warehouse-mesh", 24, 31);
+  scenario.config.slots_per_trial = 160;
+  return scenario.config;
+}
+
+NetworkSimConfig fleet_config(FidelityMode mode) {
+  auto scenario = make_scenario("warehouse-10k", 300, 29);
+  scenario.config.slots_per_trial = 48;
+  scenario.config.fleet.fidelity = mode;
+  return scenario.config;
+}
+
+NetworkSimConfig best_gateway_failover_config() {
+  auto scenario = make_scenario("gateway-handoff-line", 10, 13);
+  scenario.config.slots_per_trial = 160;
+  scenario.config.combining = GatewayCombining::kBestGateway;
+  scenario.config.failover_streak_frames = 2;
+  scenario.config.faults.intensity = 0.3;  // make links actually die
+  return scenario.config;
+}
+
+TEST(ActiveSetEngine, EnergyStarvedGatedMatchesReference) {
+  const auto config = energy_starved_gated_config();
+  ASSERT_TRUE(config.energy_gating)
+      << "scenario should exercise the gated wake path";
+  expect_engines_agree(config);
+}
+
+TEST(ActiveSetEngine, FadingSweepWithFaultsMatchesReference) {
+  expect_engines_agree(fading_with_faults_config());
 }
 
 TEST(ActiveSetEngine, WarehouseMeshRelayScheduledMatchesReference) {
-  auto scenario = make_scenario("warehouse-mesh", 24, 31);
-  scenario.config.slots_per_trial = 160;
-  ASSERT_TRUE(scenario.config.relay.enabled);
-  ASSERT_EQ(scenario.config.mac_kind, mac::MacKind::kScheduled);
-  expect_engines_agree(scenario.config);
+  const auto config = mesh_relay_config();
+  ASSERT_TRUE(config.relay.enabled);
+  ASSERT_EQ(config.mac_kind, mac::MacKind::kScheduled);
+  expect_engines_agree(config);
 }
 
 TEST(ActiveSetEngine, DenseNotifyAbortMatchesReference) {
@@ -148,20 +129,67 @@ TEST(ActiveSetEngine, HybridAndAnalyticFleetModesMatchReference) {
   for (const FidelityMode mode :
        {FidelityMode::kAnalytic, FidelityMode::kHybrid}) {
     SCOPED_TRACE(fidelity_name(mode));
-    auto scenario = make_scenario("warehouse-10k", 300, 29);
-    scenario.config.slots_per_trial = 48;
-    scenario.config.fleet.fidelity = mode;
-    expect_engines_agree(scenario.config, 2);
+    expect_engines_agree(fleet_config(mode), 2);
   }
 }
 
 TEST(ActiveSetEngine, BestGatewayFailoverMatchesReference) {
-  auto scenario = make_scenario("gateway-handoff-line", 10, 13);
-  scenario.config.slots_per_trial = 160;
-  scenario.config.combining = GatewayCombining::kBestGateway;
-  scenario.config.failover_streak_frames = 2;
-  scenario.config.faults.intensity = 0.3;  // make links actually die
-  expect_engines_agree(scenario.config);
+  expect_engines_agree(best_gateway_failover_config());
+}
+
+// ----- summary merge round trip --------------------------------------
+
+/// add() and merge() share NetworkCounters::merge, so a counter left out
+/// of it shows up here as a trial whose one-trial summary differs from
+/// the trial itself. Trials run concurrently on one simulator (the
+/// static channel tables are shared read-only state).
+TEST(NetworkCountersMerge, RoundTripsOverScenarioMatrix) {
+  const std::pair<const char*, NetworkSimConfig> matrix[] = {
+      {"energy-starved gated", energy_starved_gated_config()},
+      {"fading with faults", fading_with_faults_config()},
+      {"warehouse-mesh relay", mesh_relay_config()},
+      {"hybrid", fleet_config(FidelityMode::kHybrid)},
+      {"analytic", fleet_config(FidelityMode::kAnalytic)},
+      {"best-gateway failover", best_gateway_failover_config()},
+  };
+  constexpr std::size_t kTrials = 3;
+  for (const auto& [name, config] : matrix) {
+    SCOPED_TRACE(name);
+    const NetworkSimulator sim(config);
+    const auto trials = ExperimentRunner(4).map(
+        kTrials, [&sim](std::size_t t) { return sim.run_trial(t); });
+
+    NetworkSimSummary one_pass;
+    NetworkSimSummary head;  // every trial but the last
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      NetworkSimSummary single;
+      single.add(trials[t]);
+      EXPECT_EQ(static_cast<const NetworkCounters&>(single),
+                static_cast<const NetworkCounters&>(trials[t]))
+          << "trial " << t;
+      one_pass.add(trials[t]);
+      if (t + 1 < kTrials) head.add(trials[t]);
+    }
+    NetworkSimSummary tail;
+    tail.add(trials.back());
+    head.merge(tail);
+
+    // Split at the last trial so every double folds in the same order
+    // on both sides (halves of several trials would regroup the sums).
+    EXPECT_EQ(static_cast<const NetworkCounters&>(head),
+              static_cast<const NetworkCounters&>(one_pass));
+    EXPECT_EQ(head.trials, one_pass.trials);
+    // The escalation-rate samples: one_pass add()s the last one
+    // (Welford), head merge()s it (Chan). Count, mean and range agree
+    // exactly for a one-sample tail; the second moment only to rounding.
+    const RunningStats& merged = head.escalation_rate_trials;
+    const RunningStats& added = one_pass.escalation_rate_trials;
+    EXPECT_EQ(merged.count(), added.count());
+    EXPECT_EQ(merged.mean(), added.mean());
+    EXPECT_EQ(merged.min(), added.min());
+    EXPECT_EQ(merged.max(), added.max());
+    EXPECT_NEAR(merged.variance(), added.variance(), 1e-12);
+  }
 }
 
 // ----- wake-bucket edge cases ----------------------------------------

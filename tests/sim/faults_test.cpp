@@ -302,22 +302,6 @@ NetworkSimConfig faulted_small_config(std::size_t num_tags = 4) {
   return config;
 }
 
-void expect_trials_identical(const NetworkTrialResult& a,
-                             const NetworkTrialResult& b) {
-  EXPECT_EQ(a.busy_slots, b.busy_slots);
-  EXPECT_EQ(a.useful_slots, b.useful_slots);
-  EXPECT_EQ(a.wasted_slots, b.wasted_slots);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.sync_failures, b.sync_failures);
-  ASSERT_EQ(a.tags.size(), b.tags.size());
-  for (std::size_t k = 0; k < a.tags.size(); ++k) {
-    EXPECT_EQ(a.tags[k].frames_attempted, b.tags[k].frames_attempted);
-    EXPECT_EQ(a.tags[k].frames_delivered, b.tags[k].frames_delivered);
-    EXPECT_EQ(a.tags[k].harvested_j, b.tags[k].harvested_j);
-    EXPECT_EQ(a.tags[k].spent_j, b.tags[k].spent_j);
-  }
-}
-
 TEST(NetworkSimFaults, ZeroIntensityIsBitIdenticalToFaultFree) {
   // The fault substream is salted away from the trial stream, and every
   // fault code path is gated: a config with intensity 0 must reproduce
@@ -327,7 +311,7 @@ TEST(NetworkSimFaults, ZeroIntensityIsBitIdenticalToFaultFree) {
   cfg.faults.intensity = 0.0;  // explicit no-op
   const NetworkSimulator zero(cfg);
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
-    expect_trials_identical(clean.run_trial(trial), zero.run_trial(trial));
+    EXPECT_EQ(clean.run_trial(trial), zero.run_trial(trial));
   }
 }
 
@@ -435,29 +419,9 @@ TEST(NetworkSimFaults, FaultedSummariesMergeBitIdenticallyAcrossJobs) {
           acc.add(sim.run_trial(trial));
         });
   }
-  const auto& a = merged[0];
-  const auto& b = merged[1];
-  EXPECT_EQ(a.busy_slots, b.busy_slots);
-  EXPECT_EQ(a.useful_slots, b.useful_slots);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.faulted_frames_attempted, b.faulted_frames_attempted);
-  EXPECT_EQ(a.faulted_frames_delivered, b.faulted_frames_delivered);
-  EXPECT_EQ(a.frames_lost_outage, b.frames_lost_outage);
-  EXPECT_EQ(a.frames_lost_sag, b.frames_lost_sag);
-  EXPECT_EQ(a.frames_lost_interference, b.frames_lost_interference);
-  EXPECT_EQ(a.frames_lost_tag_fault, b.frames_lost_tag_fault);
-  EXPECT_EQ(a.failovers, b.failovers);
-  EXPECT_EQ(a.time_to_failover_slots.count(),
-            b.time_to_failover_slots.count());
-  EXPECT_EQ(a.time_to_failover_slots.mean(), b.time_to_failover_slots.mean());
-  EXPECT_EQ(a.outage_delivery_ratio(), b.outage_delivery_ratio());
-  ASSERT_EQ(a.tags.size(), b.tags.size());
-  for (std::size_t k = 0; k < a.tags.size(); ++k) {
-    EXPECT_EQ(a.tags[k].frames_delivered, b.tags[k].frames_delivered);
-    EXPECT_EQ(a.tags[k].harvested_j, b.tags[k].harvested_j);
-  }
+  EXPECT_EQ(merged[0], merged[1]);
   // The run was not degenerate: faults actually fired.
-  EXPECT_GT(a.faulted_frames_attempted, 0u);
+  EXPECT_GT(merged[0].faulted_frames_attempted, 0u);
 }
 
 TEST(NetworkSimFaults, IntensityDegradesDeliveryMonotonically) {

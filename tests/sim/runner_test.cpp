@@ -25,24 +25,6 @@ LinkSimConfig fast_config(std::uint64_t seed = 42) {
   return config;
 }
 
-void expect_bit_identical(const LinkSimSummary& a, const LinkSimSummary& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.sync_failures, b.sync_failures);
-  EXPECT_EQ(a.false_syncs, b.false_syncs);
-  EXPECT_EQ(a.data.errors(), b.data.errors());
-  EXPECT_EQ(a.data.trials(), b.data.trials());
-  EXPECT_EQ(a.data_aligned.errors(), b.data_aligned.errors());
-  EXPECT_EQ(a.feedback.errors(), b.feedback.errors());
-  EXPECT_EQ(a.feedback.trials(), b.feedback.trials());
-  // Exact double equality: the merge tree must not depend on jobs.
-  EXPECT_EQ(a.harvested_per_frame_j.count(), b.harvested_per_frame_j.count());
-  EXPECT_EQ(a.harvested_per_frame_j.mean(), b.harvested_per_frame_j.mean());
-  EXPECT_EQ(a.harvested_per_frame_j.variance(),
-            b.harvested_per_frame_j.variance());
-  EXPECT_EQ(a.harvested_per_frame_j.min(), b.harvested_per_frame_j.min());
-  EXPECT_EQ(a.harvested_per_frame_j.max(), b.harvested_per_frame_j.max());
-}
-
 TEST(ExperimentRunner, BitIdenticalAcrossJobCounts) {
   // The headline contract from the refactor: jobs=1 and jobs=8 produce
   // bit-identical merged LinkStats for the same seed. 50 trials spans
@@ -50,7 +32,7 @@ TEST(ExperimentRunner, BitIdenticalAcrossJobCounts) {
   const auto config = fast_config();
   const auto serial = ExperimentRunner(1).run(config, 50, 12);
   const auto parallel = ExperimentRunner(8).run(config, 50, 12);
-  expect_bit_identical(serial, parallel);
+  EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial.trials, 50u);
   // The operating point must actually exercise non-trivial outcomes or
   // the comparison proves nothing.
@@ -66,7 +48,7 @@ TEST(ExperimentRunner, BitIdenticalOnOddChunkBoundaries) {
                                    3 * ExperimentRunner::kTrialsPerChunk + 5}) {
     const auto a = ExperimentRunner(1).run(config, trials, 8);
     const auto b = ExperimentRunner(5).run(config, trials, 8);
-    expect_bit_identical(a, b);
+    EXPECT_EQ(a, b);
     EXPECT_EQ(a.trials, trials);
   }
 }
@@ -131,7 +113,7 @@ TEST(ExperimentRunner, BatchKeepsScenarioOrder) {
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bit_identical(serial[i], parallel[i]);
+    EXPECT_EQ(serial[i], parallel[i]);
   }
   // Harvested energy falls with distance — confirms slot i really holds
   // scenario i and not whichever finished first.
