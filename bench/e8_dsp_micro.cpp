@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "channel/impairments.hpp"
 #include "core/feedback.hpp"
 #include "core/self_interference.hpp"
 #include "dsp/correlator.hpp"
@@ -366,6 +367,27 @@ int main(int argc, char** argv) {
       g_sink = g_sink + out[0].real();
     });
   });
+  // Receiver noise, two ways: the batch AwgnChannel (Rng::fill_cn in
+  // blocks, vector sincos) and per-call Rng::cn (glibc sincos), which
+  // the batch path reproduces bit for bit.
+  add("awgn_channel", [](std::size_t n) {
+    const auto iq = random_iq(4096, 11);
+    fdb::channel::AwgnChannel awgn(1e-4, fdb::Rng(12));
+    std::vector<fdb::cf32> out(iq.size());
+    return time_stage("awgn_channel", iq.size(), 16, n, [&] {
+      awgn.process(iq, out);
+      g_sink = g_sink + out[0].real();
+    });
+  });
+  add("rng_cn_scalar", [](std::size_t n) {
+    fdb::Rng rng(12);
+    constexpr std::size_t kDraws = 4096;
+    return time_stage("rng_cn_scalar", kDraws, 16, n, [&] {
+      fdb::cf32 acc{};
+      for (std::size_t i = 0; i < kDraws; ++i) acc += rng.cn(1e-4);
+      g_sink = g_sink + acc.real();
+    });
+  });
   add("integrate_slice_chain", [](std::size_t n) {
     const auto env = random_envelope(4096, 5);
     fdb::phy::IntegrateAndDump integrator(6);
@@ -509,6 +531,15 @@ int main(int argc, char** argv) {
     return std::any_of(stages.begin(), stages.end(),
                        [name](const NamedStage& s) { return s.name == name; });
   };
+  if (reps > 0 && (selected("awgn_channel") || selected("rng_cn_scalar"))) {
+    auto& noise = report.section("receiver noise cost (ns/sample)",
+                                 {"stage", "ns_per_sample"});
+    for (const auto& r : results) {
+      if (r.name == "awgn_channel" || r.name == "rng_cn_scalar") {
+        noise.add_row({r.name, 1e3 / r.msps.mean()});
+      }
+    }
+  }
   if (reps > 0 && selected("sliding_correlator_simd") &&
       selected("sliding_correlator")) {
     // Serial, after the stages: nothing else runs while pairs are timed.
@@ -535,7 +566,10 @@ int main(int argc, char** argv) {
                   " sliding_correlator vs sliding_correlator_scalar (seed"
                   " per-sample loop) is the batch speedup;"
                   " synthesis_slot_batched vs synthesis_slot_perlink is the"
-                  " fused cross-entity slot-synthesis gain; full_rx_chain"
+                  " fused cross-entity slot-synthesis gain; awgn_channel"
+                  " (batch Rng::fill_cn) vs rng_cn_scalar (per-call"
+                  " Rng::cn, same samples) is the noise-layer gain;"
+                  " full_rx_chain"
                   " times the streaming receiver end to end. --stages REGEX"
                   " runs a subset.");
   return report.emit(cli) ? 0 : 1;

@@ -1,8 +1,11 @@
 #include "channel/impairments.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "util/db.hpp"
 
@@ -16,9 +19,23 @@ double thermal_noise_power(double bandwidth_hz, double noise_figure_db) {
          db_to_lin(noise_figure_db);
 }
 
+namespace {
+
+double checked_noise_power(double p) {
+  if (!(std::isfinite(p) && p >= 0.0)) {
+    throw std::invalid_argument(
+        "AwgnChannel: noise power must be finite and >= 0");
+  }
+  return p;
+}
+
+}  // namespace
+
 AwgnChannel::AwgnChannel(double noise_power, Rng rng)
-    : noise_power_(noise_power), rng_(rng) {
-  assert(noise_power >= 0.0);
+    : noise_power_(checked_noise_power(noise_power)), rng_(rng) {}
+
+void AwgnChannel::set_noise_power(double p) {
+  noise_power_ = checked_noise_power(p);
 }
 
 cf32 AwgnChannel::process(cf32 x) {
@@ -28,7 +45,18 @@ cf32 AwgnChannel::process(cf32 x) {
 
 void AwgnChannel::process(std::span<const cf32> in, std::span<cf32> out) {
   assert(in.size() == out.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process(in[i]);
+  if (noise_power_ <= 0.0) {
+    for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i];
+    return;
+  }
+  std::array<cf32, Rng::kCnBlock> noise{};
+  for (std::size_t base = 0; base < in.size(); base += Rng::kCnBlock) {
+    const std::size_t n = std::min(Rng::kCnBlock, in.size() - base);
+    rng_.fill_cn(noise_power_, {noise.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      out[base + i] = in[base + i] + noise[i];
+    }
+  }
 }
 
 CfoRotator::CfoRotator(double offset_hz, double sample_rate_hz)

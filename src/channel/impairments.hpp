@@ -22,13 +22,18 @@ double thermal_noise_power(double bandwidth_hz, double noise_figure_db = 6.0);
 /// Adds complex AWGN of total power `noise_power` to the stream.
 class AwgnChannel {
  public:
+  /// Throws std::invalid_argument unless noise_power is finite and >= 0.
   AwgnChannel(double noise_power, Rng rng);
 
   cf32 process(cf32 x);
+  /// Same samples as per-sample process(x) calls: the noise comes from
+  /// Rng::fill_cn, which is bit-identical to successive Rng::cn draws.
+  /// `in` and `out` may be the same span.
   void process(std::span<const cf32> in, std::span<cf32> out);
 
   double noise_power() const { return noise_power_; }
-  void set_noise_power(double p) { noise_power_ = p; }
+  /// Throws std::invalid_argument unless p is finite and >= 0.
+  void set_noise_power(double p);
 
  private:
   double noise_power_;

@@ -6,11 +6,37 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "util/types.hpp"
 
 namespace fdb {
+
+class Rng;
+
+namespace detail {
+
+/// Absolute error bound E that Rng::fill_cn assumes between
+/// sincos_block and glibc sin/cos on [0, 2π]. The kernel's measured
+/// error is thousands of times smaller (tests/util/rng_test pins it
+/// within E/16 of glibc).
+inline constexpr double kSincosErrorBound = 0x1p-40;
+
+/// Branch-free sin/cos of every x[i] in [0, 2π] (Cody-Waite reduction
+/// by π/2 plus the fdlibm polynomial kernels), written so the compiler
+/// vectorizes it. The spans must have equal lengths.
+void sincos_block(std::span<const double> x, std::span<double> sin_out,
+                  std::span<double> cos_out);
+
+/// Rng::fill_cn with the fast-kernel acceptance forced off, so every
+/// sample takes the glibc fallback. Internal: the equivalence tests pin
+/// that path to cn() too.
+void fill_cn_fallback_only(Rng& rng, double mean_square,
+                           std::span<cf32> out);
+
+}  // namespace detail
 
 /// xoshiro256++ generator (Blackman & Vigna). Small, fast, and high quality
 /// for Monte-Carlo use; satisfies UniformRandomBitGenerator.
@@ -55,6 +81,18 @@ class Rng {
   /// Circularly-symmetric complex Gaussian with E[|X|^2] = mean_square.
   cf32 cn(double mean_square);
 
+  /// Writes exactly the values that out.size() successive
+  /// cn(mean_square) calls would return, and leaves the generator in
+  /// exactly the state they would. Samples are made kCnBlock at a time:
+  /// uniforms drawn in cn()'s order, glibc log/sqrt for the radius, and
+  /// a vectorized sincos whose result is accepted only when both ends
+  /// of its error interval (detail::kSincosErrorBound) round to the same
+  /// float; the rest are recomputed through glibc sin/cos.
+  void fill_cn(double mean_square, std::span<cf32> out);
+
+  /// fill_cn's internal block; buffered callers use the same size.
+  static constexpr std::size_t kCnBlock = 256;
+
   /// Bernoulli trial with probability p of true.
   bool chance(double p);
 
@@ -71,6 +109,11 @@ class Rng {
   static Rng substream(std::uint64_t seed, std::uint64_t stream);
 
  private:
+  friend void detail::fill_cn_fallback_only(Rng&, double, std::span<cf32>);
+
+  void fill_cn_impl(double mean_square, std::span<cf32> out,
+                    bool force_fallback);
+
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

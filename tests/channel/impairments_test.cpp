@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 namespace fdb::channel {
 namespace {
@@ -46,6 +49,38 @@ TEST(Awgn, SignalPlusNoisePowerAdds) {
     total += std::norm(awgn.process({1.0f, 0.0f}));
   }
   EXPECT_NEAR(total / n, 1.1, 0.02);
+}
+
+TEST(Awgn, BatchMatchesPerSampleInPlace) {
+  // process(span) draws its noise through Rng::fill_cn in blocks; the
+  // samples must equal per-sample process(x) across block boundaries.
+  AwgnChannel batch(0.3, Rng(10));
+  AwgnChannel scalar(0.3, Rng(10));
+  std::vector<cf32> buf(1000);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = {static_cast<float>(i) * 0.01f, -0.5f};
+  }
+  const std::vector<cf32> in = buf;
+  batch.process(buf, buf);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const cf32 want = scalar.process(in[i]);
+    ASSERT_EQ(buf[i].real(), want.real()) << "sample " << i;
+    ASSERT_EQ(buf[i].imag(), want.imag()) << "sample " << i;
+  }
+}
+
+TEST(Awgn, RejectsBadNoisePower) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double p : {-1e-9, -1.0, nan, inf}) {
+    EXPECT_THROW(AwgnChannel(p, Rng(1)), std::invalid_argument) << p;
+    AwgnChannel awgn(0.5, Rng(1));
+    EXPECT_THROW(awgn.set_noise_power(p), std::invalid_argument) << p;
+    EXPECT_EQ(awgn.noise_power(), 0.5) << "a rejected power is not kept";
+  }
+  AwgnChannel awgn(0.0, Rng(1));
+  awgn.set_noise_power(0.0);
+  EXPECT_EQ(awgn.noise_power(), 0.0);
 }
 
 TEST(Cfo, RotatesAtConfiguredRate) {

@@ -7,6 +7,8 @@
 // slot or draw-order swap shows up as a hard counter mismatch here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -139,6 +141,45 @@ TEST(ActiveSetEngine, BestGatewayFailoverMatchesReference) {
 
 // ----- summary merge round trip --------------------------------------
 
+void expect_stats_near(const RunningStats& a, const RunningStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_NEAR(a.mean(), b.mean(), 1e-12 * std::max(1.0, std::abs(b.mean())));
+  EXPECT_NEAR(a.variance(), b.variance(),
+              1e-12 * std::max(1.0, std::abs(b.variance())));
+}
+
+/// `regrouped` folds the same trials as `one_pass` through a different
+/// reduction tree. Integer counters must still agree exactly; the
+/// doubles (per-tag energy sums, Welford moments) only to rounding, so
+/// they are compared approximately and then copied across, and the
+/// whole-struct comparison covers every other field.
+void expect_equal_up_to_regrouping(const NetworkSimSummary& regrouped,
+                                   const NetworkSimSummary& one_pass) {
+  EXPECT_EQ(regrouped.trials, one_pass.trials);
+  expect_stats_near(regrouped.escalation_rate_trials,
+                    one_pass.escalation_rate_trials);
+  NetworkCounters lhs = regrouped;
+  ASSERT_EQ(lhs.tags.size(), one_pass.tags.size());
+  for (std::size_t k = 0; k < lhs.tags.size(); ++k) {
+    const NetworkTagStats& want = one_pass.tags[k];
+    EXPECT_NEAR(lhs.tags[k].harvested_j, want.harvested_j,
+                1e-12 * std::abs(want.harvested_j));
+    EXPECT_NEAR(lhs.tags[k].spent_j, want.spent_j,
+                1e-12 * std::abs(want.spent_j));
+    lhs.tags[k].harvested_j = want.harvested_j;
+    lhs.tags[k].spent_j = want.spent_j;
+  }
+  for (const auto field : {&NetworkCounters::detect_latency_slots,
+                           &NetworkCounters::time_to_failover_slots,
+                           &NetworkCounters::relay_hops}) {
+    expect_stats_near(lhs.*field, one_pass.*field);
+    lhs.*field = one_pass.*field;
+  }
+  EXPECT_EQ(lhs, static_cast<const NetworkCounters&>(one_pass));
+}
+
 /// add() and merge() share NetworkCounters::merge, so a counter left out
 /// of it shows up here as a trial whose one-trial summary differs from
 /// the trial itself. Trials run concurrently on one simulator (the
@@ -152,7 +193,7 @@ TEST(NetworkCountersMerge, RoundTripsOverScenarioMatrix) {
       {"analytic", fleet_config(FidelityMode::kAnalytic)},
       {"best-gateway failover", best_gateway_failover_config()},
   };
-  constexpr std::size_t kTrials = 3;
+  constexpr std::size_t kTrials = 4;
   for (const auto& [name, config] : matrix) {
     SCOPED_TRACE(name);
     const NetworkSimulator sim(config);
@@ -189,6 +230,18 @@ TEST(NetworkCountersMerge, RoundTripsOverScenarioMatrix) {
     EXPECT_EQ(merged.min(), added.min());
     EXPECT_EQ(merged.max(), added.max());
     EXPECT_NEAR(merged.variance(), added.variance(), 1e-12);
+
+    // 2+2 regrouping: an empty summary adopts the first half, then
+    // merges the second.
+    NetworkSimSummary first_half;
+    NetworkSimSummary second_half;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      (t < kTrials / 2 ? first_half : second_half).add(trials[t]);
+    }
+    NetworkSimSummary regrouped;
+    regrouped.merge(first_half);
+    regrouped.merge(second_half);
+    expect_equal_up_to_regrouping(regrouped, one_pass);
   }
 }
 

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstdio>
+#include <numbers>
+#include <span>
+#include <vector>
 
 namespace fdb {
 namespace {
@@ -153,6 +159,95 @@ TEST(RngDeathTest, UniformIntZeroFailsLoudly) {
   // release builds used to reach a division by zero (UB) instead.
   Rng rng(3);
   EXPECT_DEATH(rng.uniform_int(0), "n must be > 0|n > 0");
+}
+
+// Both components' bit patterns, so -0 vs +0 and NaN payloads count.
+std::uint64_t bits(cf32 v) {
+  return (std::uint64_t{std::bit_cast<std::uint32_t>(v.real())} << 32) |
+         std::bit_cast<std::uint32_t>(v.imag());
+}
+
+TEST(RngFillCn, MatchesSuccessiveCnBitForBit) {
+  // 5 powers x 4 span lengths x 500k draws = 10^7 draws. The lengths
+  // straddle fill_cn's 256-sample block.
+  constexpr std::size_t kDrawsPerCase = 500000;
+  std::uint64_t seed = 101;
+  for (const double ms : {1e-12, 1e-6, 0.01, 1.0, 10.0}) {
+    for (const std::size_t len : {1u, 255u, 256u, 257u}) {
+      Rng batch(seed), scalar(seed);
+      ++seed;
+      std::vector<cf32> out(len);
+      for (std::size_t done = 0; done < kDrawsPerCase; done += len) {
+        batch.fill_cn(ms, out);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(bits(out[i]), bits(scalar.cn(ms)))
+              << "mean_square " << ms << ", span " << len << ", draw "
+              << done + i;
+        }
+      }
+      EXPECT_EQ(batch(), scalar()) << "generator state after the draws";
+    }
+  }
+}
+
+TEST(RngFillCn, CachedNormalEntryMatchesCn) {
+  // One odd normal() leaves a cached deviate, which shifts cn()'s
+  // pairing; fill_cn must follow it and leave the same cache behind.
+  Rng batch(202), scalar(202);
+  EXPECT_EQ(batch.normal(), scalar.normal());
+  std::vector<cf32> out(300);
+  for (int round = 0; round < 100; ++round) {
+    batch.fill_cn(0.5, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(bits(out[i]), bits(scalar.cn(0.5))) << "draw " << i;
+    }
+  }
+  EXPECT_EQ(batch.normal(), scalar.normal());
+  EXPECT_EQ(batch(), scalar());
+}
+
+TEST(RngFillCn, ForcedFallbackMatchesCn) {
+  Rng batch(303), scalar(303);
+  std::vector<cf32> out(257);
+  for (int round = 0; round < 400; ++round) {
+    detail::fill_cn_fallback_only(batch, 2.0, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(bits(out[i]), bits(scalar.cn(2.0))) << "draw " << i;
+    }
+  }
+  EXPECT_EQ(batch(), scalar());
+}
+
+TEST(RngFillCn, SincosBlockWithinBoundOfGlibc) {
+  // fill_cn's exactness assumes |fast - glibc| <= kSincosErrorBound on
+  // [0, 2π]; pin a 16x margin over 10^7 Box-Muller angles plus every
+  // quadrant boundary (and its neighbours) and 2π - ulp.
+  constexpr double kTwoPi = 2.0 * std::numbers::pi;
+  std::vector<double> x;
+  for (int k = 0; k <= 4; ++k) {
+    double b = k * (std::numbers::pi / 2.0);
+    for (int step = 0; step < 4; ++step) b = std::nextafter(b, 0.0);
+    for (int step = 0; step < 9; ++step) {
+      if (b >= 0.0 && b <= kTwoPi) x.push_back(b);
+      b = std::nextafter(b, 8.0);
+    }
+  }
+  x.push_back(std::nextafter(kTwoPi, 0.0));
+  x.push_back(kTwoPi);
+  Rng rng(404);
+  while (x.size() < 10000000) x.push_back(kTwoPi * rng.uniform());
+
+  std::vector<double> s(x.size()), c(x.size());
+  detail::sincos_block(x, s, c);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    worst = std::max({worst, std::abs(s[i] - std::sin(x[i])),
+                      std::abs(c[i] - std::cos(x[i]))});
+  }
+  EXPECT_LE(worst, detail::kSincosErrorBound / 16.0);
+  char worst_text[32];
+  std::snprintf(worst_text, sizeof worst_text, "%a", worst);
+  RecordProperty("worst_abs_error", worst_text);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
