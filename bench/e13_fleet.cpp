@@ -212,6 +212,7 @@ int main(int argc, char** argv) {
                    hy.mean_detect_latency_slots(), hy.escalation_rate()});
   }
 
+  report.section("build", {"build"}).add_row({fdb::sim::build_flavour()});
   report.add_note(
       "Verdict bands: clear-deliver needs the worst-case-interference "
       "margin >= +6 dB, clear-fail needs the zero-interference margin "

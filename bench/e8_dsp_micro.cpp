@@ -225,6 +225,19 @@ int main(int argc, char** argv) {
       g_sink = g_sink + out[0];
     });
   });
+  add("envelope_detector_std_abs", [](std::size_t n) {
+    // The detector's reference chain: per-sample std::abs (a hypotf
+    // call each) into the same one-pole, as before the vectorized
+    // magnitude pass.
+    const auto iq = random_iq(4096, 1);
+    auto smoother = fdb::dsp::OnePole::from_cutoff(100e3, 2e6);
+    std::vector<float> out(iq.size());
+    return time_stage("envelope_detector_std_abs", iq.size(), 64, n, [&] {
+      for (std::size_t i = 0; i < iq.size(); ++i) out[i] = std::abs(iq[i]);
+      smoother.process(out, out);
+      g_sink = g_sink + out[0];
+    });
+  });
   for (const std::size_t window : {16ul, 64ul, 256ul}) {
     add("moving_average_w" + std::to_string(window),
         [window](std::size_t n) {
@@ -521,11 +534,7 @@ int main(int argc, char** argv) {
   // committed trajectory file says what it measured.
   const std::string isa = fdb::dsp::detail::correlator_target_name(
       fdb::dsp::detail::correlator_dispatch_target());
-#if defined(FDB_NATIVE_BUILD)
-  const std::string build = "native";
-#else
-  const std::string build = "portable";
-#endif
+  const std::string build = fdb::sim::build_flavour();
   report.section("build", {"correlator_isa", "build"}).add_row({isa, build});
   const auto selected = [&stages](const char* name) {
     return std::any_of(stages.begin(), stages.end(),
@@ -566,7 +575,10 @@ int main(int argc, char** argv) {
                   " sliding_correlator vs sliding_correlator_scalar (seed"
                   " per-sample loop) is the batch speedup;"
                   " synthesis_slot_batched vs synthesis_slot_perlink is the"
-                  " fused cross-entity slot-synthesis gain; awgn_channel"
+                  " fused cross-entity slot-synthesis gain;"
+                  " envelope_detector vs envelope_detector_std_abs"
+                  " (per-sample std::abs, same output bits) is the"
+                  " vectorized magnitude gain; awgn_channel"
                   " (batch Rng::fill_cn) vs rng_cn_scalar (per-call"
                   " Rng::cn, same samples) is the noise-layer gain;"
                   " full_rx_chain"

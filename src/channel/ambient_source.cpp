@@ -1,5 +1,6 @@
 #include "channel/ambient_source.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -8,18 +9,34 @@
 
 namespace fdb::channel {
 
+namespace {
+cf32 cw_sample(double phase) {
+  return {static_cast<float>(std::cos(phase)),
+          static_cast<float>(std::sin(phase))};
+}
+}  // namespace
+
 CwSource::CwSource(double phase_drift_rad_per_sample)
     : drift_(phase_drift_rad_per_sample) {}
 
 void CwSource::generate(std::span<cf32> out) {
-  for (auto& sample : out) {
-    sample = {static_cast<float>(std::cos(phase_)),
-              static_cast<float>(std::sin(phase_))};
+  if (const auto c = constant()) {
+    std::fill(out.begin(), out.end(), *c);
+    return;
+  }
+  for (auto& s : out) {
+    s = cw_sample(phase_);
     phase_ += drift_;
   }
 }
 
 void CwSource::reset() { phase_ = 0.0; }
+
+std::optional<cf32> CwSource::constant() const {
+  // Without drift the phase never leaves 0, so every sample is equal.
+  if (drift_ != 0.0) return std::nullopt;
+  return cw_sample(phase_);
+}
 
 OfdmTvSource::OfdmTvSource(OfdmParams params)
     : params_(params), rng_(params.seed) {

@@ -4,7 +4,10 @@
 //
 //  * CwSource     — unmodulated constant-envelope carrier. The easy case:
 //                   the envelope is flat, so backscatter bits are directly
-//                   visible. Used as an ablation arm in E7.
+//                   visible. Every network scenario runs it. Without
+//                   phase drift it is one exact constant, which it
+//                   reports through constant() so callers can fill one
+//                   slot of it once instead of generating every sample.
 //  * OfdmTvSource — wideband OFDM with random QPSK subcarriers and cyclic
 //                   prefix, DVB-like. Its envelope fluctuates on a
 //                   per-sample basis, which is precisely why ambient
@@ -17,6 +20,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,6 +48,11 @@ class AmbientSource {
   /// Restarts the source deterministically.
   virtual void reset() = 0;
 
+  /// The value every sample takes if the source is an exact constant,
+  /// or nullopt if its samples vary. A constant source's generate()
+  /// fills every span with exactly this value.
+  virtual std::optional<cf32> constant() const { return std::nullopt; }
+
   virtual const char* name() const = 0;
 };
 
@@ -57,6 +66,9 @@ class CwSource final : public AmbientSource {
   using AmbientSource::generate;
   void generate(std::span<cf32> out) override;
   void reset() override;
+  /// The carrier sample when there is no drift (the phase then stays
+  /// exactly 0), nullopt with drift.
+  std::optional<cf32> constant() const override;
   const char* name() const override { return "cw"; }
 
  private:

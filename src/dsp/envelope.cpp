@@ -1,9 +1,39 @@
 #include "dsp/envelope.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace fdb::dsp {
+
+void magnitude(std::span<const cf32> in, std::span<float> out) {
+  assert(in.size() == out.size());
+  // For finite input glibc's hypotf (what std::abs/cabsf call) returns
+  // exactly float(sqrt(double(re)^2 + double(im)^2)); other libcs need
+  // not, so a port must rerun the EnvelopeMagnitude.* pins. In double the
+  // squares are exact and their sum cannot overflow, and this TU is
+  // built with -ffp-contract=off and -fno-math-errno, so the loop
+  // vectorizes to packed double sqrt with no libm call. A non-finite
+  // result (all-ones exponent, tested on the bits so the OR-reduction
+  // vectorizes too) means a non-finite input, where the two forms can
+  // differ (hypot(inf, nan) is inf), or a float overflow, where both
+  // give inf. Those samples are recomputed with std::abs itself.
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  std::uint32_t non_finite = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const double re = in[i].real();
+    const double im = in[i].imag();
+    const float m = static_cast<float>(std::sqrt(re * re + im * im));
+    out[i] = m;
+    non_finite |= (std::bit_cast<std::uint32_t>(m) & kExponent) == kExponent;
+  }
+  if (non_finite != 0) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (!std::isfinite(out[i])) out[i] = std::abs(in[i]);
+    }
+  }
+}
 
 EnvelopeDetector::EnvelopeDetector(double rc_cutoff_hz, double sample_rate_hz)
     : smoother_(OnePole::from_cutoff(rc_cutoff_hz, sample_rate_hz)) {}
@@ -16,11 +46,9 @@ float EnvelopeDetector::process(cf32 x) {
 
 void EnvelopeDetector::process(std::span<const cf32> in,
                                std::span<float> out) {
-  assert(in.size() == out.size());
-  // Two-pass batch kernel: the magnitude pass vectorizes (sqrt of
-  // I^2+Q^2 over contiguous memory, staged through `out` so no scratch
-  // buffer is needed), then the one-pole RC recurrence runs in place.
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = std::abs(in[i]);
+  // Two passes: the magnitude, staged through `out` so no scratch
+  // buffer is needed, then the one-pole RC recurrence in place.
+  magnitude(in, out);
   smoother_.process(std::span<const float>(out.data(), out.size()), out);
 }
 

@@ -11,6 +11,14 @@
 
 namespace fdb::dsp {
 
+/// out[i] = |in[i]| as a vectorized pass. The diode stage of
+/// EnvelopeDetector. Bit-identical to std::abs for every input
+/// (including subnormal, overflowing and non-finite samples) where
+/// std::abs is glibc's hypotf, which rounds the exact double result
+/// once; another libc's hypotf need not, and the EnvelopeMagnitude.*
+/// tests pin the equality on the host they run on.
+void magnitude(std::span<const cf32> in, std::span<float> out);
+
 class EnvelopeDetector {
  public:
   /// `rc_cutoff_hz` models the RC low-pass after the diode; it must pass

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -107,6 +108,15 @@ void NetworkSimConfig::validate() const {
     throw std::invalid_argument(
         "NetworkSimConfig: unknown carrier \"" + carrier +
         "\" (expected \"cw\" or \"ofdm_tv\")");
+  }
+  // OnePole::from_cutoff only asserts a positive cutoff, and Release
+  // builds drop the assert: 0 gives a dead envelope that fails every
+  // frame silently, a negative or NaN multiplier a meaningless pole.
+  if (!(std::isfinite(envelope_cutoff_mult) && envelope_cutoff_mult > 0.0)) {
+    throw std::invalid_argument(
+        "NetworkSimConfig: envelope_cutoff_mult must be finite and "
+        "positive, got " +
+        std::to_string(envelope_cutoff_mult));
   }
   if (fading != "static" && fading != "rayleigh" && fading != "rician") {
     throw std::invalid_argument(
@@ -702,9 +712,19 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
   // source is sequential, so the prefix is identical either way), which
   // keeps trials with little contention from paying for carrier
   // synthesis at all.
+  // A constant carrier (zero-drift CW, every network scenario) is the
+  // same in every slot: one slot-long buffer is filled once and every
+  // slot reads it at offset 0, so nothing is generated per sample.
+  const std::optional<cf32> constant_carrier = source->constant();
   std::span<cf32> ambient{};
   std::size_t ambient_filled = 0;
-  if (waveform_all || hybrid) {
+  if (constant_carrier) {
+    if (waveform_all || hybrid) {
+      ambient = arena.alloc<cf32>(slot_samples_);
+      std::fill(ambient.begin(), ambient.end(), *constant_carrier);
+    }
+    ambient_filled = total;
+  } else if (waveform_all || hybrid) {
     ambient = arena.alloc<cf32>(total);
     if (waveform_all) {
       source->generate(ambient);
@@ -717,6 +737,11 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
                                        hi_sample - ambient_filled));
       ambient_filled = hi_sample;
     }
+  };
+  // The carrier under the slot starting at trial sample `base`.
+  const auto slot_carrier = [&](std::size_t base) {
+    return std::span<const cf32>(ambient).subspan(constant_carrier ? 0 : base,
+                                                  slot_samples_);
   };
 
   // Per-gateway receive chains: AWGN (one fork per gateway, in index
@@ -1284,8 +1309,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
           if (!esc_built[g * slots + s]) {
             esc_built[g * slots + s] = 1;
             ++res.gateway_slots_synthesized;
-            const std::size_t base = s * slot_samples_;
-            const auto carrier = ambient.subspan(base, slot_samples_);
+            const auto carrier = slot_carrier(s * slot_samples_);
             const auto out = std::span<cf32>(slot_p, slot_samples_);
             // Gather the in-range on-air entities of this slot (mask
             // views into the zero-padded modulated frames plus their
@@ -1725,8 +1749,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     // contested frames demand.
     if (waveform_all) {
       const std::size_t base = static_cast<std::size_t>(slot) * slot_samples_;
-      const auto carrier =
-          std::span<const cf32>(ambient).subspan(base, slot_samples_);
+      const auto carrier = slot_carrier(base);
       for (std::size_t e = 0; e < active.size(); ++e) {
         const TagRt& tag = rt[active[e]];
         mask_ptrs[e] =

@@ -81,6 +81,18 @@ struct ReportSection {
   void add_row_numeric(const std::vector<double>& values);
 };
 
+/// The build flavour a bench was compiled in ("native" under
+/// -DFDB_NATIVE=ON, else "portable"), so a committed trajectory file
+/// says what produced it. Inline so it reads the including target's
+/// FDB_NATIVE_BUILD define.
+inline const char* build_flavour() {
+#if defined(FDB_NATIVE_BUILD)
+  return "native";
+#else
+  return "portable";
+#endif
+}
+
 /// An experiment's full output: sections plus free-text notes (the
 /// "shape check" commentary), renderable as table, CSV, or JSON.
 class Report {

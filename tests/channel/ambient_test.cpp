@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <span>
+#include <vector>
 
 namespace fdb::channel {
 namespace {
@@ -40,6 +43,35 @@ TEST(CwSource, ResetRestoresPhase) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(a[i].real(), b[i].real());
   }
+}
+
+TEST(CwSource, ZeroDriftFillMatchesPerSampleLoop) {
+  // Without drift generate() fills one constant instead of evaluating
+  // cos/sin per sample. It must equal the per-sample loop it replaced,
+  // whose phase stays 0.0 at zero drift, across chunked calls and
+  // reset().
+  const cf32 ref{static_cast<float>(std::cos(0.0)),
+                 static_cast<float>(std::sin(0.0))};
+  CwSource src;
+  EXPECT_EQ(src.constant(), std::optional<cf32>(ref));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                std::size_t{0}, std::size_t{4096}}) {
+      std::vector<cf32> out(n, cf32{-2.0f, -2.0f});
+      src.generate(std::span<cf32>(out));
+      for (const cf32 s : out) {
+        ASSERT_EQ(s.real(), ref.real());
+        ASSERT_EQ(s.imag(), ref.imag());
+      }
+    }
+    src.reset();
+  }
+}
+
+TEST(AmbientSource, ConstantOnlyForZeroDriftCw) {
+  EXPECT_FALSE(CwSource(0.01).constant().has_value());
+  EXPECT_FALSE(make_ambient_source("ofdm_tv", 1)->constant().has_value());
+  EXPECT_TRUE(make_ambient_source("cw", 1)->constant().has_value());
 }
 
 TEST(OfdmTvSource, UnitAveragePower) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "sim/runner.hpp"
@@ -206,6 +207,20 @@ TEST(NetworkSimConfigValidation, RejectsUnknownCarrierAndFading) {
   config.fading = "nakagami";  // the factory would silently pick static
   EXPECT_THROW((void)NetworkSimulator(config), std::invalid_argument);
   config.fading = "rician";  // all named arms stay accepted
+  EXPECT_NO_THROW((void)NetworkSimulator(config));
+}
+
+TEST(NetworkSimConfigValidation, RejectsBadEnvelopeCutoffMult) {
+  // OnePole::from_cutoff only asserted this: in Release, 0 gave a dead
+  // envelope (alpha 0, every frame lost), -1 a negative alpha, and NaN
+  // passed through std::min into alpha.
+  auto config = small_config();
+  for (const double mult : {0.0, -1.0, std::nan("")}) {
+    config.envelope_cutoff_mult = mult;
+    EXPECT_THROW((void)NetworkSimulator(config), std::invalid_argument)
+        << "mult " << mult;
+  }
+  config.envelope_cutoff_mult = 4.0;  // the default stays valid
   EXPECT_NO_THROW((void)NetworkSimulator(config));
 }
 

@@ -326,6 +326,46 @@ TEST(NetworkSimGolden, EnergyStarvedTimeoutBitIdenticalToPreRefactor) {
          0x1.85a3b1e31eedcp-23}}});
 }
 
+// The ofdm_tv carrier is not constant, so it keeps the trial-length
+// carrier buffer that zero-drift CW no longer uses. These pins were
+// captured while every carrier still used that buffer. The waveform arm
+// never syncs an OFDM frame in this scene (the leakage's envelope
+// fluctuation swamps the tags' modulation), so its pin holds the
+// verdict split and energy tallies, not sample values; the hybrid arm
+// also runs one escalated window through the carrier buffer.
+NetworkSimConfig ofdm_tv_config(FidelityMode fidelity) {
+  NetworkSimConfig config = small4_config();
+  config.carrier = "ofdm_tv";
+  config.fleet.fidelity = fidelity;
+  return config;
+}
+
+TEST(NetworkSimGolden, OfdmTvWaveformBitIdenticalToPreRefactor) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_network_matches(
+      ofdm_tv_config(FidelityMode::kWaveform), 3,
+      {288, 144, 0, 156, 44, 15, 44, 0x1p+1, 0x0p+0,
+       {{15, 0, 12, 11, 0, 0, 0x1.b0431d66e8616p-20, 0x0p+0},
+        {15, 0, 10, 10, 0, 0, 0x1.ba302d41b7728p-21, 0x0p+0},
+        {16, 0, 13, 12, 0, 0, 0x1.d38deef02b893p-22, 0x0p+0},
+        {13, 0, 9, 8, 0, 0, 0x1.3f86320123e74p-20, 0x0p+0}}});
+}
+
+TEST(NetworkSimGolden, OfdmTvHybridBitIdenticalToPreRefactor) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  const NetworkSimConfig config = ofdm_tv_config(FidelityMode::kHybrid);
+  expect_network_matches(
+      config, 3,
+      {288, 149, 55, 103, 63, 0, 63, 0x1p+1, 0x0p+0,
+       {{20, 3, 17, 16, 768, 0, 0x1.aab64bc800532p-20, 0x0p+0},
+        {14, 0, 14, 14, 0, 0, 0x1.c0dfe3040096p-21, 0x0p+0},
+        {19, 4, 15, 15, 1024, 0, 0x1.ce0cc95d96d9ap-22, 0x0p+0},
+        {21, 4, 17, 17, 1024, 0, 0x1.3935915ce18b6p-20, 0x0p+0}}});
+  const NetworkSimSummary s = NetworkSimulator(config).run(3);
+  EXPECT_EQ(s.frames_escalated, 1u);
+  EXPECT_EQ(s.gateway_slots_synthesized, 6u);
+}
+
 // ---------------------------------------------------------------------
 // Zero steady-state allocation
 // ---------------------------------------------------------------------
