@@ -392,6 +392,19 @@ int main(int argc, char** argv) {
       g_sink = g_sink + out[0].real();
     });
   });
+  add("awgn_channel_baseline", [](std::size_t n) {
+    // awgn_channel's work with fill_cn forced to the baseline-ISA block
+    // kernel (same samples): awgn_channel over this row is the gain of
+    // the runtime-dispatched AVX2/AVX-512 kernel.
+    const auto iq = random_iq(4096, 11);
+    fdb::Rng rng(12);
+    std::vector<fdb::cf32> noise(iq.size()), out(iq.size());
+    return time_stage("awgn_channel_baseline", iq.size(), 16, n, [&] {
+      fdb::detail::fill_cn_on(rng, fdb::SimdTarget::kScalar, 1e-4, noise);
+      for (std::size_t i = 0; i < iq.size(); ++i) out[i] = iq[i] + noise[i];
+      g_sink = g_sink + out[0].real();
+    });
+  });
   add("rng_cn_scalar", [](std::size_t n) {
     fdb::Rng rng(12);
     constexpr std::size_t kDraws = 4096;
@@ -530,23 +543,29 @@ int main(int argc, char** argv) {
     sec.add_row({r.name, r.items_per_rep, r.msps.count(), r.msps.mean(),
                  r.msps.ci95_halfwidth(), r.msps.min(), r.msps.max()});
   }
-  // Which build and correlator kernel produced these numbers, so a
-  // committed trajectory file says what it measured.
-  const std::string isa = fdb::dsp::detail::correlator_target_name(
-      fdb::dsp::detail::correlator_dispatch_target());
+  // Which build and dispatched kernels (the correlator's dots and
+  // fill_cn's noise block share one CPU detection) produced these
+  // numbers, so a committed trajectory file says what it measured.
+  const std::string isa = fdb::simd_target_name(fdb::simd_dispatch_target());
   const std::string build = fdb::sim::build_flavour();
-  report.section("build", {"correlator_isa", "build"}).add_row({isa, build});
+  report.section("build", {"correlator_isa", "noise_isa", "build"})
+      .add_row({isa, isa, build});
   const auto selected = [&stages](const char* name) {
     return std::any_of(stages.begin(), stages.end(),
                        [name](const NamedStage& s) { return s.name == name; });
   };
-  if (reps > 0 && (selected("awgn_channel") || selected("rng_cn_scalar"))) {
+  const auto is_noise = [](const std::string& name) {
+    return name == "awgn_channel" || name == "awgn_channel_baseline" ||
+           name == "rng_cn_scalar";
+  };
+  const bool noise_selected =
+      std::any_of(results.begin(), results.end(),
+                  [&](const auto& r) { return is_noise(r.name); });
+  if (reps > 0 && noise_selected) {
     auto& noise = report.section("receiver noise cost (ns/sample)",
                                  {"stage", "ns_per_sample"});
     for (const auto& r : results) {
-      if (r.name == "awgn_channel" || r.name == "rng_cn_scalar") {
-        noise.add_row({r.name, 1e3 / r.msps.mean()});
-      }
+      if (is_noise(r.name)) noise.add_row({r.name, 1e3 / r.msps.mean()});
     }
   }
   if (reps > 0 && selected("sliding_correlator_simd") &&
@@ -579,8 +598,11 @@ int main(int argc, char** argv) {
                   " envelope_detector vs envelope_detector_std_abs"
                   " (per-sample std::abs, same output bits) is the"
                   " vectorized magnitude gain; awgn_channel"
-                  " (batch Rng::fill_cn) vs rng_cn_scalar (per-call"
-                  " Rng::cn, same samples) is the noise-layer gain;"
+                  " (batch Rng::fill_cn on the " + isa + " kernel) vs"
+                  " rng_cn_scalar (per-call Rng::cn, same samples) is the"
+                  " noise-layer gain, and vs awgn_channel_baseline"
+                  " (fill_cn forced to the baseline ISA) the dispatch"
+                  " gain;"
                   " full_rx_chain"
                   " times the streaming receiver end to end. --stages REGEX"
                   " runs a subset.");

@@ -14,8 +14,6 @@
 namespace fdb::dsp {
 namespace {
 
-using detail::CorrelatorTarget;
-
 // Samples appended per compaction cycle; the history buffer holds
 // window_len_-1 + kBlock floats, so the tail memmove amortises to
 // (W-1)/kBlock floats per sample.
@@ -169,57 +167,15 @@ __attribute__((target("avx2,fma"))) std::size_t dot_block_avx2_fma(
 }
 #endif  // __x86_64__
 
-CorrelatorTarget detect_target() {
-  for (const auto target :
-       {CorrelatorTarget::kAvx512f, CorrelatorTarget::kAvx2Fma}) {
-    if (detail::correlator_target_supported(target)) return target;
-  }
-  return CorrelatorTarget::kScalar;
-}
-
 }  // namespace
 
 namespace detail {
 
-const char* correlator_target_name(CorrelatorTarget target) {
-  switch (target) {
-    case CorrelatorTarget::kAvx512f:
-      return "avx512f";
-    case CorrelatorTarget::kAvx2Fma:
-      return "avx2+fma";
-    case CorrelatorTarget::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-bool correlator_target_supported(CorrelatorTarget target) {
-  switch (target) {
-    case CorrelatorTarget::kScalar:
-      return true;
-#if defined(__x86_64__)
-    case CorrelatorTarget::kAvx512f:
-      __builtin_cpu_init();
-      return __builtin_cpu_supports("avx512f");
-    case CorrelatorTarget::kAvx2Fma:
-      __builtin_cpu_init();
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#endif
-    default:
-      return false;
-  }
-}
-
-CorrelatorTarget correlator_dispatch_target() {
-  static const CorrelatorTarget target = detect_target();
-  return target;
-}
-
-void correlator_process_on(SlidingCorrelator& corr, CorrelatorTarget target,
+void correlator_process_on(SlidingCorrelator& corr, SimdTarget target,
                            std::span<const float> in, std::span<float> out) {
-  if (!correlator_target_supported(target)) {
+  if (!simd_target_supported(target)) {
     throw std::invalid_argument(std::string("correlator target ") +
-                                correlator_target_name(target) +
+                                simd_target_name(target) +
                                 " is not supported on this CPU");
   }
   corr.process_blocked(target, in, out);
@@ -321,13 +277,13 @@ double SlidingCorrelator::dot_one_d(const double* win) const {
   return dot;
 }
 
-void SlidingCorrelator::dot_block(CorrelatorTarget target, const double* first,
+void SlidingCorrelator::dot_block(SimdTarget target, const double* first,
                                   std::size_t n, double* dots) const {
   std::size_t j = 0;
 #if defined(__x86_64__)
-  if (target == CorrelatorTarget::kAvx512f) {
+  if (target == SimdTarget::kAvx512f) {
     j = dot_block_avx512f(pattern_d_.data(), window_len_, first, n, dots);
-  } else if (target == CorrelatorTarget::kAvx2Fma) {
+  } else if (target == SimdTarget::kAvx2Fma) {
     j = dot_block_avx2_fma(pattern_d_.data(), window_len_, first, n, dots);
   }
 #else
@@ -340,16 +296,16 @@ void SlidingCorrelator::process(std::span<const float> in,
                                 std::span<float> out) {
   // One dispatch path for every build: the target is the host CPU's
   // widest supported kernel, not the compiler's -march.
-  process_blocked(detail::correlator_dispatch_target(), in, out);
+  process_blocked(simd_dispatch_target(), in, out);
 }
 
-void SlidingCorrelator::process_blocked(CorrelatorTarget target,
+void SlidingCorrelator::process_blocked(SimdTarget target,
                                         std::span<const float> in,
                                         std::span<float> out) {
   // Without a vector ISA the blocked restructure is pure overhead (the
   // dots fall back to dot_one anyway); the single-pass scalar loop is
   // the faster — and definitionally bit-identical — path.
-  if (target == CorrelatorTarget::kScalar) {
+  if (target == SimdTarget::kScalar) {
     process_scalar(in, out);
     return;
   }

@@ -34,29 +34,17 @@
 #include <span>
 #include <vector>
 
+#include "util/simd_target.hpp"
+
 namespace fdb::dsp {
 
 class SlidingCorrelator;
 
 namespace detail {
 
-/// Dot kernels SlidingCorrelator::process(span) can dispatch to.
-/// Internal: the equivalence tests force each one; users get the
-/// runtime choice.
-enum class CorrelatorTarget { kScalar, kAvx2Fma, kAvx512f };
-
-/// "scalar", "avx2+fma" or "avx512f".
-const char* correlator_target_name(CorrelatorTarget target);
-
-/// True when the running CPU (and OS) can execute `target`.
-bool correlator_target_supported(CorrelatorTarget target);
-
-/// The widest supported target; detected once per process.
-CorrelatorTarget correlator_dispatch_target();
-
 /// process(span) on a named target. Throws std::invalid_argument when
 /// the host cannot run it.
-void correlator_process_on(SlidingCorrelator& corr, CorrelatorTarget target,
+void correlator_process_on(SlidingCorrelator& corr, SimdTarget target,
                            std::span<const float> in, std::span<float> out);
 
 }  // namespace detail
@@ -77,7 +65,7 @@ class SlidingCorrelator {
   /// Arbitrary span lengths; state carries across calls, so splitting a
   /// stream into chunks of any size yields bit-identical output. Pattern
   /// dots run through the output-blocked SIMD kernel when the host CPU
-  /// provides one (see detail::correlator_dispatch_target).
+  /// provides one (see simd_dispatch_target).
   void process(std::span<const float> in, std::span<float> out);
 
   /// Scalar determinism reference: the per-sample loop the SIMD path
@@ -93,16 +81,15 @@ class SlidingCorrelator {
   void reset();
 
  private:
-  friend void detail::correlator_process_on(SlidingCorrelator&,
-                                            detail::CorrelatorTarget,
+  friend void detail::correlator_process_on(SlidingCorrelator&, SimdTarget,
                                             std::span<const float>,
                                             std::span<float>);
 
   /// process(span) with the dots on `target` (which must be supported):
   /// the three-pass blocked batch loop behind the SIMD targets, or
   /// process_scalar for kScalar.
-  void process_blocked(detail::CorrelatorTarget target,
-                       std::span<const float> in, std::span<float> out);
+  void process_blocked(SimdTarget target, std::span<const float> in,
+                       std::span<float> out);
 
   void compact();
   void refresh_sums(const float* window);
@@ -119,8 +106,8 @@ class SlidingCorrelator {
   /// starting at first + j, for j in [0, n), with consecutive outputs
   /// mapped to `target`'s SIMD lanes (each lane reproduces dot_one's
   /// tree exactly) and the remainder finished by dot_one_d.
-  void dot_block(detail::CorrelatorTarget target, const double* first,
-                 std::size_t n, double* dots) const;
+  void dot_block(SimdTarget target, const double* first, std::size_t n,
+                 double* dots) const;
 
   std::vector<float> stretched_;   // pattern expanded & mean-removed
   std::vector<double> pattern_d_;  // same taps widened once for the dot

@@ -292,6 +292,12 @@ struct NetworkCounters {
 struct NetworkTrialResult : NetworkCounters {
   /// Per-frame log; filled only when FleetConfig::record_frames.
   std::vector<FrameRecord> frames;
+  /// Per-gateway digest (FNV-1a over the float bit patterns) of every
+  /// envelope sample the trial produced: the full-trial history in
+  /// kWaveform, each escalated decode window in escalation order in
+  /// kHybrid. Filled only when FleetConfig::record_frames, so goldens
+  /// can pin sample values without the hot path paying for it.
+  std::vector<std::uint64_t> envelope_digest;
 
   bool operator==(const NetworkTrialResult&) const = default;
 };

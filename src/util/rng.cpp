@@ -17,10 +17,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -28,22 +24,9 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+Rng::result_type Rng::operator()() { return detail::xoshiro_next(s_); }
 
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return detail::unit_double((*this)()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 

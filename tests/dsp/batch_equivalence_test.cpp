@@ -149,8 +149,7 @@ std::vector<float> correlate_chunked(const std::vector<float>& in,
   return out;
 }
 
-class SlidingCorrelatorTarget
-    : public ::testing::TestWithParam<detail::CorrelatorTarget> {};
+class SlidingCorrelatorTarget : public ::testing::TestWithParam<SimdTarget> {};
 
 TEST_P(SlidingCorrelatorTarget, MatchesScalarReference) {
   // Every dot-kernel target the dispatcher can pick is pinned against
@@ -165,8 +164,8 @@ TEST_P(SlidingCorrelatorTarget, MatchesScalarReference) {
   // compaction, and the widened-window scratch refill all land at
   // different offsets.
   const auto target = GetParam();
-  if (!detail::correlator_target_supported(target)) {
-    GTEST_SKIP() << detail::correlator_target_name(target)
+  if (!simd_target_supported(target)) {
+    GTEST_SKIP() << simd_target_name(target)
                  << " is not supported on this CPU";
   }
   const std::size_t total = 70000;
@@ -187,7 +186,7 @@ TEST_P(SlidingCorrelatorTarget, MatchesScalarReference) {
     for (std::size_t i = 0; i < total; ++i) {
       ASSERT_EQ(ref[i], scalar_out[i]) << "scalar batch diverged at " << i;
       ASSERT_EQ(scalar_out[i], target_out[i])
-          << detail::correlator_target_name(target) << " diverged at " << i
+          << simd_target_name(target) << " diverged at " << i
           << " (chunk seed " << chunk_seed << ")";
     }
   }
@@ -195,16 +194,15 @@ TEST_P(SlidingCorrelatorTarget, MatchesScalarReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     BatchEquivalence, SlidingCorrelatorTarget,
-    ::testing::Values(detail::CorrelatorTarget::kScalar,
-                      detail::CorrelatorTarget::kAvx2Fma,
-                      detail::CorrelatorTarget::kAvx512f),
+    ::testing::Values(SimdTarget::kScalar, SimdTarget::kAvx2Fma,
+                      SimdTarget::kAvx512f),
     [](const auto& info) {
       switch (info.param) {
-        case detail::CorrelatorTarget::kAvx2Fma:
+        case SimdTarget::kAvx2Fma:
           return std::string("Avx2Fma");
-        case detail::CorrelatorTarget::kAvx512f:
+        case SimdTarget::kAvx512f:
           return std::string("Avx512f");
-        case detail::CorrelatorTarget::kScalar:
+        case SimdTarget::kScalar:
           break;
       }
       return std::string("Scalar");
@@ -214,21 +212,19 @@ TEST(BatchEquivalence, SlidingCorrelatorSimdDispatch) {
   // process(span) runs the widest kernel the CPU has, checked here
   // against the CPU's own feature bits rather than the dispatcher's
   // helpers, and matches the scalar batch reference bit-for-bit.
-  using detail::CorrelatorTarget;
-  CorrelatorTarget best = CorrelatorTarget::kScalar;
+  SimdTarget best = SimdTarget::kScalar;
 #if defined(__x86_64__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f")) {
-    best = CorrelatorTarget::kAvx512f;
+    best = SimdTarget::kAvx512f;
   } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    best = CorrelatorTarget::kAvx2Fma;
+    best = SimdTarget::kAvx2Fma;
   }
 #endif
-  EXPECT_EQ(detail::correlator_dispatch_target(), best)
-      << "dispatched " << detail::correlator_target_name(
-                              detail::correlator_dispatch_target())
-      << ", best supported " << detail::correlator_target_name(best);
-  EXPECT_TRUE(detail::correlator_target_supported(best));
+  EXPECT_EQ(simd_dispatch_target(), best)
+      << "dispatched " << simd_target_name(simd_dispatch_target())
+      << ", best supported " << simd_target_name(best);
+  EXPECT_TRUE(simd_target_supported(best));
 
   const auto in = random_stream(70000, 42);
   const auto scalar_out = correlate_chunked(

@@ -16,6 +16,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "sim/link_sim.hpp"
 #include "sim/network_sim.hpp"
@@ -364,6 +367,85 @@ TEST(NetworkSimGolden, OfdmTvHybridBitIdenticalToPreRefactor) {
   const NetworkSimSummary s = NetworkSimulator(config).run(3);
   EXPECT_EQ(s.frames_escalated, 1u);
   EXPECT_EQ(s.gateway_slots_synthesized, 6u);
+}
+
+// The verdict pins above cannot see a sample that moves without
+// flipping a decode. These hash every envelope sample each gateway
+// produced (NetworkTrialResult::envelope_digest, FNV-1a over the float
+// bits): the full-trial history in kWaveform, the escalated decode
+// windows in kHybrid (only trial 1 escalates here; a trial with no
+// escalation keeps the FNV offset basis). Two gateways, so each one's
+// chain is pinned. Captured before fill_cn's log/dispatch rewrite.
+NetworkSimConfig digest_config(const char* carrier, FidelityMode fidelity) {
+  NetworkSimConfig config = small4_config();
+  config.extra_gateways = {{9.0, 3.0}};
+  config.carrier = carrier;
+  config.fleet.fidelity = fidelity;
+  config.fleet.record_frames = true;
+  return config;
+}
+
+std::string hex_digests(const std::vector<std::uint64_t>& digests) {
+  std::string text;
+  for (const std::uint64_t d : digests) {
+    char word[24];
+    std::snprintf(word, sizeof word, "0x%016llx ",
+                  static_cast<unsigned long long>(d));
+    text += word;
+  }
+  return text;
+}
+
+void expect_envelope_digests(
+    const NetworkSimConfig& config,
+    const std::vector<std::vector<std::uint64_t>>& gold) {
+  const NetworkSimulator sim(config);
+  std::uint64_t escalated = 0;
+  for (std::size_t t = 0; t < gold.size(); ++t) {
+    const NetworkTrialResult r = sim.run_trial(t);
+    escalated += r.frames_escalated;
+    EXPECT_EQ(hex_digests(r.envelope_digest), hex_digests(gold[t]))
+        << "trial " << t;
+  }
+  if (config.fleet.fidelity == FidelityMode::kHybrid) {
+    EXPECT_GT(escalated, 0u) << "no escalated window: nothing pinned";
+  }
+}
+
+TEST(NetworkSimGolden, CwWaveformEnvelopeDigest) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_envelope_digests(
+      digest_config("cw", FidelityMode::kWaveform),
+      {{0xec36e84ce71ba9c2, 0x94cc4f795611f5be},
+       {0x46ca0bdd7cd3a306, 0xf335eeb73672b6a9},
+       {0x0995dd7cf6323bbd, 0xa506f2dffd3d30e3}});
+}
+
+TEST(NetworkSimGolden, CwHybridEnvelopeDigest) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_envelope_digests(
+      digest_config("cw", FidelityMode::kHybrid),
+      {{0xcbf29ce484222325, 0xcbf29ce484222325},
+       {0x01cd7c44df5eb262, 0xa657982c0ce440e5},
+       {0xcbf29ce484222325, 0xcbf29ce484222325}});
+}
+
+TEST(NetworkSimGolden, OfdmTvWaveformEnvelopeDigest) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_envelope_digests(
+      digest_config("ofdm_tv", FidelityMode::kWaveform),
+      {{0x95e386ea2e232be1, 0x0ea27da0d91c0173},
+       {0x62d9750a854bb8c8, 0x9ed552ce016c82d2},
+       {0x4414eaffb3be7f73, 0xd5c7268983d4aed5}});
+}
+
+TEST(NetworkSimGolden, OfdmTvHybridEnvelopeDigest) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_envelope_digests(
+      digest_config("ofdm_tv", FidelityMode::kHybrid),
+      {{0xcbf29ce484222325, 0xcbf29ce484222325},
+       {0x3eec5e7ea80032a7, 0xdd382abc960a6eac},
+       {0xcbf29ce484222325, 0xcbf29ce484222325}});
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <numbers>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace fdb {
@@ -249,6 +250,123 @@ TEST(RngFillCn, SincosBlockWithinBoundOfGlibc) {
   std::snprintf(worst_text, sizeof worst_text, "%a", worst);
   RecordProperty("worst_abs_error", worst_text);
 }
+
+TEST(RngFillCn, LogBlockWithinBoundOfGlibc) {
+  // fill_cn's exactness assumes |fast - glibc| <= kLogRelErrorBound *
+  // |fast| on [2^-53, 1); pin a 16x margin over 10^7 uniforms (the
+  // values Rng::uniform can produce) plus the ends of the range, every
+  // power of two in it, and the neighbours of the reduction's split
+  // between [√2/2, 1) and [1, √2) at several exponents.
+  std::vector<double> u;
+  const auto push_around = [&u](double x) {
+    for (int step = 0; step < 4; ++step) x = std::nextafter(x, 0.0);
+    for (int step = 0; step < 9; ++step) {
+      if (x >= 0x1p-53 && x < 1.0) u.push_back(x);
+      x = std::nextafter(x, 2.0);
+    }
+  };
+  u.push_back(0x1p-53);
+  u.push_back(1.0 - 0x1p-53);
+  for (int e = 1; e <= 53; ++e) push_around(std::ldexp(1.0, -e));
+  // Significand 1 + 0x6a09c * 2^-20 is the first one halved into
+  // [√2/2, 1); √2/2 itself sits just below that split's image.
+  const double split = 1.0 + 0x6a09c * 0x1p-20;
+  for (const int e : {-1, -2, -3, -17, -52, -53}) {
+    push_around(std::ldexp(split, e));
+    push_around(std::ldexp(std::numbers::sqrt2, e));
+  }
+  Rng rng(505);
+  while (u.size() < 10000000) {
+    double x = 0.0;
+    do {
+      x = rng.uniform();
+    } while (x <= 0.0);
+    u.push_back(x);
+  }
+
+  std::vector<double> ln(u.size());
+  detail::log_block(u, ln);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    worst = std::max(worst, std::abs(ln[i] - std::log(u[i])) / -ln[i]);
+  }
+  EXPECT_LE(worst, detail::kLogRelErrorBound / 16.0);
+  char worst_text[32];
+  std::snprintf(worst_text, sizeof worst_text, "%a", worst);
+  RecordProperty("worst_rel_error", worst_text);
+}
+
+TEST(RngFillCn, DispatchesBestSupportedTarget) {
+  // fill_cn runs the widest kernel the CPU has, checked here against
+  // the CPU's own feature bits rather than the dispatcher's helpers,
+  // and produces what that target produces when forced.
+  SimdTarget best = SimdTarget::kScalar;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    best = SimdTarget::kAvx512f;
+  } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    best = SimdTarget::kAvx2Fma;
+  }
+#endif
+  EXPECT_EQ(simd_dispatch_target(), best)
+      << "dispatched " << simd_target_name(simd_dispatch_target())
+      << ", best supported " << simd_target_name(best);
+  Rng dispatched(606), forced(606);
+  std::vector<cf32> a(1000), b(1000);
+  dispatched.fill_cn(0.3, a);
+  detail::fill_cn_on(forced, best, 0.3, b);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(bits(a[i]), bits(b[i])) << "draw " << i;
+  }
+  EXPECT_EQ(dispatched(), forced());
+}
+
+class RngFillCnTarget : public ::testing::TestWithParam<SimdTarget> {};
+
+TEST_P(RngFillCnTarget, MatchesCn) {
+  // Each block-kernel instantiation, forced by name so one binary pins
+  // every ISA the host has: 5 powers x 4 span lengths x 100k draws,
+  // bit patterns and the generator state after the draws.
+  const SimdTarget target = GetParam();
+  if (!simd_target_supported(target)) {
+    GTEST_SKIP() << simd_target_name(target) << " is not supported on this CPU";
+  }
+  constexpr std::size_t kDrawsPerCase = 100000;
+  std::uint64_t seed = 707;
+  for (const double ms : {1e-12, 1e-3, 0.3, 2.0, 1e6}) {
+    for (const std::size_t len : {1u, 255u, 256u, 257u}) {
+      Rng batch(seed), scalar(seed);
+      ++seed;
+      std::vector<cf32> out(len);
+      for (std::size_t done = 0; done < kDrawsPerCase; done += len) {
+        detail::fill_cn_on(batch, target, ms, out);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(bits(out[i]), bits(scalar.cn(ms)))
+              << simd_target_name(target) << ", mean_square " << ms
+              << ", span " << len << ", draw " << done + i;
+        }
+      }
+      EXPECT_EQ(batch(), scalar()) << "generator state after the draws";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , RngFillCnTarget,
+    ::testing::Values(SimdTarget::kScalar, SimdTarget::kAvx2Fma,
+                      SimdTarget::kAvx512f),
+    [](const auto& info) {
+      switch (info.param) {
+        case SimdTarget::kAvx2Fma:
+          return std::string("Avx2Fma");
+        case SimdTarget::kAvx512f:
+          return std::string("Avx512f");
+        case SimdTarget::kScalar:
+          break;
+      }
+      return std::string("Scalar");
+    });
 
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(31);
