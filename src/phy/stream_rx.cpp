@@ -6,7 +6,6 @@
 
 #include "util/bits.hpp"
 #include "util/crc.hpp"
-#include "util/log.hpp"
 
 namespace fdb::phy {
 namespace {
@@ -199,15 +198,13 @@ void StreamingReceiver::try_decode() {
   const auto header_bits = rx.demodulate_bits_at(capture, 16, pre_samples);
   if (!header_bits.has_value() || header_bits->size() < 16) {
     // False preamble hit; resume the hunt just past the failed sync.
-    log_debug("stream_rx: header undecodable, resyncing");
     resync_rewind();
     return;
   }
   const auto len8 = static_cast<std::uint8_t>(read_bits(*header_bits, 0, 8));
   const auto hdr_crc =
       static_cast<std::uint8_t>(read_bits(*header_bits, 8, 8));
-  if (crc8({&len8, 1}) != hdr_crc) {
-    log_debug("stream_rx: header CRC failed, resyncing");
+  if (crc8({&len8, 1}) != hdr_crc) {  // corrupt header: resync
     resync_rewind();
     return;
   }

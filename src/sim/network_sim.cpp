@@ -52,18 +52,20 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
   }
 }
 
-/// Runtime state of one tag inside a trial. The slot-domain machine
-/// mirrors mac/collision.cpp, but verdicts come from the PHY decode of
-/// the synthesized gateway streams instead of the abstract collided
+/// Runtime MAC and frame state of one tag inside a trial. The
+/// slot-domain machine mirrors mac/collision.cpp, but verdicts come from
+/// the PHY (or its analytic stand-in) instead of the abstract collided
 /// flag, and starts are gated by the energy store.
 struct TagRt {
+  // User-provided (not `= default`) so std::vector<TagRt>(n) skips the
+  // zero fill of value-initialisation: ~1 MB per 10k-tag trial.
+  TagRt() {}
   enum class St { kBackoff, kTx, kWaitVerdict };
   St st = St::kBackoff;
   std::size_t counter = 0;   // slots remaining in backoff / verdict wait
   std::size_t progress = 0;  // on-air slots of the current frame
   mac::TagMacState mac;      // policy state (failure class / BEB exponent)
-  bool wait_entered_now = false;  // skip the tick the slot we enter wait
-  bool brownout_now = false;      // energy ran out during this slot
+  bool wait_entered_now = false;  // countdown scan: skip the entry slot
 
   // Current frame attempt.
   std::vector<std::uint8_t> payload;
@@ -78,12 +80,6 @@ struct TagRt {
   bool forwarding = false;
   std::uint32_t fwd_originator = 0;
   std::uint32_t fwd_hops = 0;  // hops the forward has already taken
-
-  energy::Storage storage;
-  energy::EnergyLedger ledger;
-
-  TagRt(const energy::StorageParams& sp, const energy::PowerProfile& pp)
-      : storage(sp), ledger(pp) {}
 };
 
 /// One started frame in the hybrid-mode log. The analytic fast path
@@ -98,12 +94,138 @@ struct FrameLog {
   std::vector<std::uint8_t> states;  // empty until first escalation
 };
 
-/// One frame sitting in a relay's forwarding queue, waiting for the
-/// relay's next owned slotframe cell.
-struct QueuedFrame {
-  std::uint32_t originator = 0;  // tag whose fresh frame this carries
-  std::uint32_t hops = 0;        // hops taken to reach this queue
-  std::vector<std::uint8_t> payload;
+std::uint64_t sum_over_tags(const std::vector<NetworkTagStats>& tags,
+                            std::uint64_t NetworkTagStats::*field) {
+  std::uint64_t n = 0;
+  for (const auto& t : tags) n += t.*field;
+  return n;
+}
+
+/// The strongest of one tag's gateway links `row` (ties to the lowest
+/// index) among those `usable` admits; `fallback` when none is.
+template <class Usable>
+std::size_t strongest_link(std::span<const cf32> row, std::size_t fallback,
+                           Usable usable) {
+  std::size_t best = fallback;
+  float best_mag = -1.0f;
+  for (std::size_t g = 0; g < row.size(); ++g) {
+    const float mag = std::abs(row[g]);
+    if (usable(g) && mag > best_mag) {
+      best_mag = mag;
+      best = g;
+    }
+  }
+  return best;
+}
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// How a frame was lost, for the one tally every loss goes through.
+enum class Loss {
+  kVerdict,   ///< resolved undelivered
+  kNotified,  ///< aborted on a collision notification
+  kBrownout,  ///< died on air when its storage ran dry
+};
+
+/// Per-tag energy of one trial: storage, ledger and the per-slot
+/// recurrence. The reference engine steps every tag every slot; the
+/// active engine steps on-air tags only and replays idle spans on demand
+/// (catch_up) in the identical per-slot sequence, so every clamp, leak,
+/// ledger add and draw lands bit-identically. e_next_[k] is tag k's
+/// first slot not applied yet.
+class EnergyTracker {
+ public:
+  EnergyTracker(const NetworkSimConfig& config, std::span<const double> h_idle,
+                std::span<const double> h_act, double dt,
+                std::vector<NetworkTagStats>& stats, SynthArena& arena)
+      : config_(config),
+        h_idle_(h_idle),
+        h_act_(h_act),
+        dt_(dt),
+        stats_(stats),
+        storage_(arena.alloc<energy::Storage>(h_idle.size())),
+        ledger_(arena.alloc<energy::EnergyLedger>(h_idle.size())),
+        brownout_(arena.alloc_zeroed<std::uint8_t>(h_idle.size())),
+        e_next_(arena.alloc_zeroed<std::uint32_t>(h_idle.size())) {
+    // Arena carves: as per-trial heap vectors these cost 10k-tag trials
+    // fresh pages every trial.
+    std::uninitialized_fill(storage_.begin(), storage_.end(),
+                            energy::Storage(config.storage));
+    std::uninitialized_fill(ledger_.begin(), ledger_.end(),
+                            energy::EnergyLedger(config.power));
+  }
+
+  double level_j(std::size_t k) const { return storage_[k].level_j(); }
+
+  /// Applies slot `slot` of tag k's recurrence.
+  void step(std::size_t k, std::uint64_t slot, bool on_air) {
+    apply(k, on_air);
+    e_next_[k] = static_cast<std::uint32_t>(slot + 1);
+  }
+  /// Replays tag k's idle slots up to (excluding) `upto`.
+  void catch_up(std::size_t k, std::uint64_t upto) {
+    if (config_.energy_gating) {
+      for (std::uint64_t s = e_next_[k]; s < upto; ++s) apply(k, false);
+    } else {
+      // Only the harvest sum moves: the same adds, kept in a register.
+      double acc = stats_[k].harvested_j;
+      const double h = h_idle_[k];
+      for (std::uint64_t s = e_next_[k]; s < upto; ++s) acc += h;
+      stats_[k].harvested_j = acc;
+    }
+    e_next_[k] = static_cast<std::uint32_t>(upto);
+  }
+  /// Whether tag k's storage ran dry on air since the last call.
+  bool take_brownout(std::size_t k) {
+    const bool b = brownout_[k] != 0;
+    brownout_[k] = 0;
+    return b;
+  }
+  /// Trial end: settles tag k's outstanding idle span and its spend. A
+  /// tag that never woke takes `idle_sum` (the static channel's
+  /// whole-trial fold, the identical sequential sum from the same 0.0)
+  /// in one add.
+  void settle(std::size_t k, std::uint64_t slots,
+              const std::vector<double>* idle_sum) {
+    if (idle_sum != nullptr && !config_.energy_gating && e_next_[k] == 0) {
+      stats_[k].harvested_j += (*idle_sum)[k];
+    } else {
+      catch_up(k, slots);
+    }
+    stats_[k].spent_j = ledger_[k].total_energy_j();
+  }
+
+ private:
+  void apply(std::size_t k, bool on_air) {
+    const double h = on_air ? h_act_[k] : h_idle_[k];
+    stats_[k].harvested_j += h;
+    if (!config_.energy_gating) return;
+    const auto state = on_air ? energy::TagState::kBackscattering
+                              : energy::TagState::kListening;
+    storage_[k].charge(h);
+    storage_[k].tick(dt_);
+    ledger_[k].spend(state, dt_);
+    // A failed draw while merely listening drains the store but is not
+    // an outage event — only gated starts and mid-frame brownouts
+    // count, per the NetworkTagStats contract.
+    if (!storage_[k].draw(config_.power.power(state) * dt_) && on_air) {
+      ++stats_[k].energy_outages;
+      brownout_[k] = 1;
+    }
+  }
+
+  const NetworkSimConfig& config_;
+  std::span<const double> h_idle_, h_act_;
+  double dt_;
+  std::vector<NetworkTagStats>& stats_;
+  std::span<energy::Storage> storage_;
+  std::span<energy::EnergyLedger> ledger_;
+  std::span<std::uint8_t> brownout_;
+  std::span<std::uint32_t> e_next_;
 };
 
 }  // namespace
@@ -258,27 +380,16 @@ void NetworkSimSummary::merge(const NetworkSimSummary& other) {
 }
 
 std::uint64_t NetworkSimSummary::frames_attempted() const {
-  std::uint64_t n = 0;
-  for (const auto& t : tags) n += t.frames_attempted;
-  return n;
+  return sum_over_tags(tags, &NetworkTagStats::frames_attempted);
 }
-
 std::uint64_t NetworkSimSummary::frames_delivered() const {
-  std::uint64_t n = 0;
-  for (const auto& t : tags) n += t.frames_delivered;
-  return n;
+  return sum_over_tags(tags, &NetworkTagStats::frames_delivered);
 }
-
 std::uint64_t NetworkSimSummary::bits_delivered() const {
-  std::uint64_t n = 0;
-  for (const auto& t : tags) n += t.payload_bits_delivered;
-  return n;
+  return sum_over_tags(tags, &NetworkTagStats::payload_bits_delivered);
 }
-
 std::uint64_t NetworkSimSummary::energy_outages() const {
-  std::uint64_t n = 0;
-  for (const auto& t : tags) n += t.energy_outages;
-  return n;
+  return sum_over_tags(tags, &NetworkTagStats::energy_outages);
 }
 
 double NetworkSimSummary::delivery_ratio() const {
@@ -522,16 +633,9 @@ NetworkSimulator::ChannelTables NetworkSimulator::build_channel(
   // index. A single gateway always serves.
   auto serving = arena.alloc<std::size_t>(n_tags);
   for (std::size_t k = 0; k < n_tags; ++k) {
-    std::size_t best = 0;
-    float best_mag = std::abs(h_tr[k * n_gw]);
-    for (std::size_t g = 1; g < n_gw; ++g) {
-      const float mag = std::abs(h_tr[k * n_gw + g]);
-      if (mag > best_mag) {
-        best_mag = mag;
-        best = g;
-      }
-    }
-    serving[k] = best;
+    serving[k] = strongest_link(std::span<const cf32>(h_tr).subspan(
+                                    k * n_gw, n_gw),
+                                0, [](std::size_t) { return true; });
   }
   ch.serving = serving;
 
@@ -607,6 +711,55 @@ std::size_t NetworkSimulator::nearest_gateway(std::size_t k) const {
   return best;
 }
 
+GatewayFailover::GatewayFailover(const NetworkSimConfig& config,
+                                 std::uint64_t trial_index,
+                                 std::span<const std::size_t> serving,
+                                 std::span<const cf32> h_tr)
+    : any_gateway_(config.combining == GatewayCombining::kAnyGateway),
+      n_gw_(h_tr.size() / serving.size()),
+      config_(&config),
+      h_tr_(h_tr),
+      serving_(serving.begin(), serving.end()) {
+  on_ = config.failover_streak_frames > 0 && n_gw_ > 1 && !any_gateway_;
+  if (!on_) return;
+  constexpr std::uint64_t kFailoverSalt = 0xfa110feedULL;
+  rng_ = Rng::substream(config.seed ^ kFailoverSalt, trial_index);
+  streak_.assign(serving.size(), 0);
+  streak_start_.assign(serving.size(), 0);
+  switches_.assign(serving.size(), 0);
+  blacklist_until_.assign(serving.size() * n_gw_, 0);
+}
+
+void GatewayFailover::note(std::size_t k, bool delivered,
+                           std::uint64_t start_slot, std::uint64_t learn_slot,
+                           NetworkCounters& res) {
+  if (!on_) return;
+  if (delivered) {
+    streak_[k] = 0;
+    switches_[k] = 0;
+    return;
+  }
+  if (streak_[k] == 0) streak_start_[k] = start_slot;
+  if (++streak_[k] < config_->failover_streak_frames) return;
+  const std::size_t old_g = serving_[k];
+  const std::size_t holdoff = mac::failover_holdoff_slots(
+      rng_, config_->failover_holdoff_slots, switches_[k],
+      config_->failover_max_exponent);
+  blacklist_until_[k * n_gw_ + old_g] = learn_slot + 1 + holdoff;
+  const std::size_t best = strongest_link(
+      h_tr_.subspan(k * n_gw_, n_gw_), old_g, [&](std::size_t g) {
+        return blacklist_until_[k * n_gw_ + g] <= learn_slot;
+      });
+  if (best != old_g) {
+    serving_[k] = best;
+    ++res.failovers;
+    res.time_to_failover_slots.add(
+        static_cast<double>(learn_slot - streak_start_[k] + 1));
+    ++switches_[k];
+  }
+  streak_[k] = 0;
+}
+
 NetworkTrialResult NetworkSimulator::run_trial(
     std::uint64_t trial_index) const {
   // One warm arena per thread: disjoint trials may run concurrently on
@@ -628,485 +781,655 @@ NetworkTrialResult NetworkSimulator::run_trial_reference(
   return run_trial_impl<false>(trial_index, arena, nullptr);
 }
 
-NetworkTrialResult NetworkSimulator::run_trial_reference(
-    std::uint64_t trial_index, SynthArena& arena,
-    TrialStageTimes* stages) const {
-  return run_trial_impl<false>(trial_index, arena, stages);
-}
-
+/// One trial: its channel realisation, receive chains and per-tag
+/// state, the named parts — energy tracker, gateway failover, relay
+/// fabric, hybrid escalator, verdict resolver — and every frame
+/// transition, each written once. The `if constexpr (ActiveSet)` forks
+/// here only pick the storage the engine's scans need. Escalation,
+/// relay, fault and abort paths are [[gnu::noinline]]: cold code inlined
+/// into the analytic slot loop costs fleet-analytic-10k slots/s.
 template <bool ActiveSet>
-NetworkTrialResult NetworkSimulator::run_trial_impl(
-    std::uint64_t trial_index, SynthArena& arena,
-    TrialStageTimes* stages) const {
-  using Clock = std::chrono::steady_clock;
-  const bool timed = stages != nullptr;
-  const auto t_entry = timed ? Clock::now() : Clock::time_point{};
-  double verdict_acc = 0.0;  // resolve time incl. escalation (wall s)
-  double esc_acc = 0.0;      // escalation share of verdict_acc
+struct NetworkSimulator::Trial {
+  static constexpr std::uint32_t kNilTag = 0xffffffffu;
 
-  arena.reset();
-  const std::size_t n_tags = config_.tags.size();
-  const std::size_t n_gw = gateway_device_.size();
-  const std::size_t slots = config_.slots_per_trial;
-  const std::size_t total = slots * slot_samples_;
-  const double dt = slot_seconds();
-
-  NetworkTrialResult res;
-  res.tags.resize(n_tags);
-  res.gateway_decodes.resize(n_gw);
-  res.slots = slots;
-  if (config_.fleet.record_frames) start_digests(res.envelope_digest, n_gw);
-
-  // Fault realisation of this trial (empty when injection is disabled).
-  // The plan draws from a salted side substream, so the main trial
-  // randomness below is untouched by it; every fault code path in this
-  // function is guarded by `has_faults`, keeping fault-free trials
-  // bit-identical to the pre-fault engine.
-  const FaultPlan fplan = injector_.plan(trial_index);
-  const bool has_faults = fplan.any();
-
+  const NetworkSimulator& sim;
+  const std::uint64_t trial_index;
+  SynthArena& arena;
+  TrialStageTimes* const stages;  // null = untimed
+  const NetworkSimConfig& cfg = sim.config_;
+  const std::size_t n_tags = cfg.tags.size();
+  const std::size_t n_gw = sim.gateway_device_.size();
+  const std::size_t slots = cfg.slots_per_trial;
+  const std::size_t slot_samples = sim.slot_samples_;
+  const std::size_t total = slots * slot_samples;
+  const std::size_t frame_slots = sim.frame_slots_;
   // Fidelity policy (sim/fleet.hpp). All modes consume the trial RNG in
-  // the identical order — source seed, fade draws, per-gateway noise
-  // forks, backoff/payload draws — so the MAC evolution and channel
-  // realisation of a trial are mode-independent and only the verdict
-  // mechanism differs.
-  const FleetConfig& fleet = config_.fleet;
-  const bool waveform_all = fleet.fidelity == FidelityMode::kWaveform;
-  const bool hybrid = fleet.fidelity == FidelityMode::kHybrid;
-  const bool analytic_on = !waveform_all || fleet.record_frames;
-
-  // Everything stochastic about this trial lives on the stack, keyed by
-  // (seed, trial_index) — the purity contract the parallel runner needs.
-  Rng rng = Rng::substream(config_.seed, trial_index);
-  const auto source = channel::make_ambient_source(config_.carrier, rng());
-
-  // Channel realisation of this trial: coherence block = trial index,
-  // fading drawn from the trial generator right after the source seed.
-  // With a static channel every table is trial-invariant and the trial
-  // reads the construction cache instead — zero RNG draws skipped, since
-  // StaticFading consumes none, so the rest of the trial's draw sequence
-  // is untouched.
-  const bool relay_on = config_.relay.enabled && relay_topo_.num_links() > 0;
-  const ChannelTables ch =
-      static_channel_
-          ? static_channel_->tables
-          : build_channel(*channel::make_fading(config_.fading, rng), rng,
-                          trial_index, arena);
-
-  // Dead-gateway failover (opt-in, kBestGateway): serving_now is the
-  // *current* serving gateway — re-selected when a failure streak hits
-  // the threshold — while serving stays the link-quality choice. The
-  // failover machine draws its jitter from its own side substream in
-  // deterministic (slot, tag) order, so enabling it never disturbs the
-  // main trial draws.
-  const bool failover_on = config_.failover_streak_frames > 0 && n_gw > 1 &&
-                           config_.combining == GatewayCombining::kBestGateway;
-  auto serving_now = arena.alloc<std::size_t>(n_tags);
-  for (std::size_t k = 0; k < n_tags; ++k) serving_now[k] = ch.serving[k];
-  constexpr std::uint64_t kFailoverSalt = 0xfa110feedULL;
-  Rng failover_rng = Rng::substream(config_.seed ^ kFailoverSalt, trial_index);
-  std::vector<std::size_t> fail_streak;
-  std::vector<std::uint64_t> streak_start;
-  std::vector<std::size_t> switch_count;
-  std::vector<std::uint64_t> blacklist_until;
-  if (failover_on) {
-    fail_streak.assign(n_tags, 0);
-    streak_start.assign(n_tags, 0);
-    switch_count.assign(n_tags, 0);
-    blacklist_until.assign(n_tags * n_gw, 0);
-  }
-
-  // Per-trial relaying state: each child's current parent (an index
-  // into its candidate list), per-link ETX counters, forwarding queues,
-  // and the end-to-end failure streaks that drive re-parenting. Heap
-  // vectors, not arena carves — queued payloads grow data-dependently.
-  std::vector<std::vector<QueuedFrame>> relay_queue;
-  std::vector<std::uint32_t> parent_idx;
-  std::vector<std::uint64_t> etx_attempts;
-  std::vector<std::uint64_t> etx_success;
-  std::vector<std::size_t> relay_fail_streak;
-  std::vector<std::uint64_t> relay_streak_start;
-  if (relay_on) {
-    relay_queue.resize(n_tags);
-    parent_idx.assign(n_tags, 0);
-    etx_attempts.assign(relay_topo_.num_links(), 0);
-    etx_success.assign(relay_topo_.num_links(), 0);
-    relay_fail_streak.assign(n_tags, 0);
-    relay_streak_start.assign(n_tags, 0);
-  }
-
-  // Ambient carrier realisation for the whole trial, so any decode
-  // window is a pure history lookup. The analytic-only mode never
-  // touches samples; kHybrid reads it for escalated windows. Neither
-  // path consumes the trial RNG here (the source owns its seed), so
-  // skipping generation keeps modes aligned.
-  // kWaveform materialises it all upfront; kHybrid streams it lazily up
-  // to the highest sample any escalated window has needed so far (the
-  // source is sequential, so the prefix is identical either way), which
-  // keeps trials with little contention from paying for carrier
-  // synthesis at all.
-  // A constant carrier (zero-drift CW, every network scenario) is the
-  // same in every slot: one slot-long buffer is filled once and every
-  // slot reads it at offset 0, so nothing is generated per sample.
-  const std::optional<cf32> constant_carrier = source->constant();
-  std::span<cf32> ambient{};
-  std::size_t ambient_filled = 0;
-  if (constant_carrier) {
-    if (waveform_all || hybrid) {
-      ambient = arena.alloc<cf32>(slot_samples_);
-      std::fill(ambient.begin(), ambient.end(), *constant_carrier);
-    }
-    ambient_filled = total;
-  } else if (waveform_all || hybrid) {
-    ambient = arena.alloc<cf32>(total);
-    if (waveform_all) {
-      source->generate(ambient);
-      ambient_filled = total;
-    }
-  }
-  const auto ensure_ambient = [&](std::size_t hi_sample) {
-    if (hi_sample > ambient_filled) {
-      source->generate(ambient.subspan(ambient_filled,
-                                       hi_sample - ambient_filled));
-      ambient_filled = hi_sample;
-    }
-  };
-  // The carrier under the slot starting at trial sample `base`.
-  const auto slot_carrier = [&](std::size_t base) {
-    return std::span<const cf32>(ambient).subspan(constant_carrier ? 0 : base,
-                                                  slot_samples_);
-  };
-
-  // Per-gateway receive chains: AWGN (one fork per gateway, in index
-  // order — forked in every mode to keep downstream MAC draws aligned),
-  // RC envelope state carried across slots, and a full-trial envelope
-  // history each. Trivially-destructible objects are
-  // placement-constructed into arena scratch. In kHybrid the AWGN forks
-  // are consumed by escalated windows instead of per-slot synthesis.
-  auto noise = arena.alloc<channel::AwgnChannel>(n_gw);
-  static_assert(std::is_trivially_destructible_v<channel::AwgnChannel>);
-  static_assert(std::is_trivially_destructible_v<dsp::EnvelopeDetector>);
-  const double noise_power = config_.noise_power_w();
-  for (std::size_t g = 0; g < n_gw; ++g) {
-    std::construct_at(&noise[g], noise_power, rng.fork());
-  }
-  std::span<dsp::EnvelopeDetector> envelopes{};
-  std::span<float> env_buf{};
-  std::span<cf32> rx_slot{};
-  if (waveform_all) {
-    envelopes = arena.alloc<dsp::EnvelopeDetector>(n_gw);
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      std::construct_at(&envelopes[g], synth_.make_envelope());
-    }
-    env_buf = arena.alloc_zeroed<float>(n_gw * total);
-    rx_slot = arena.alloc<cf32>(n_gw * slot_samples_);
-  }
-
-  // Cross-entity slot-synthesis scratch (kWaveform slots and kHybrid
-  // escalations both run the fused per-gateway kernel): the per-slot
-  // entity mask pointers, the compacted coupling pair of each entity at
-  // the gateway being synthesized, and the coefficient accumulator.
-  // Preallocated per trial so the arena's capacity stays warm-stable.
-  std::span<const std::uint8_t*> mask_ptrs{};
-  std::span<cf32> slot_on{};
-  std::span<cf32> slot_off{};
-  std::span<cf32> coeff_scratch{};
-  if (waveform_all || hybrid) {
-    mask_ptrs = arena.alloc<const std::uint8_t*>(n_tags);
-    slot_on = arena.alloc<cf32>(n_tags);
-    slot_off = arena.alloc<cf32>(n_tags);
-    coeff_scratch = arena.alloc<cf32>(slot_samples_);
-  }
-
-  // Analytic fast path: interference bookkeeping over the channel's
-  // swing tables. The reference engine keeps the historical
-  // per-(gateway, slot) interference-sum rows; the active engine
-  // instead folds a running per-(tag, gateway) segment
-  // max while the frame is on air, so resolving a frame stops
-  // rescanning its whole slot window (max is exact and
-  // order-independent, hence bit-identical).
-  std::span<float> i_sum{};
-  std::span<float> i_max{};
-  if (analytic_on) {
-    if constexpr (ActiveSet) {
-      i_max = arena.alloc<float>(n_tags * n_gw);  // rows zeroed per frame
-    } else {
-      i_sum = arena.alloc_zeroed<float>(n_gw * slots);
-    }
-  }
-
-  // Hybrid frame log: who was on air when, so an escalated window can
-  // re-synthesize exactly the slots it needs. Amortised std::vectors,
-  // deliberately not arena carves — escalation demand is data-dependent
-  // and mid-trial, which would defeat the arena's capacity-stability
-  // contract.
-  std::vector<FrameLog> frame_log;
-  std::vector<std::uint32_t> slot_frames;
-  std::vector<std::uint32_t> slot_frames_off;
-  // Escalation slot cache: the noisy synthesized receive history per
-  // (gateway, slot), built lazily the first time any escalated window
-  // touches the slot and shared by every later escalation — contested
-  // frames overlap heavily in dense scenes, and without the cache each
-  // one would re-synthesize the same busy slots (and draw fresh noise
-  // for them, unlike the waveform path where overlapping frames see one
-  // noise realisation). A slot is final once built: every frame that
-  // can overlap it is already in the log when the first escalation
-  // reaches it, because escalations run at verdict time, after the
-  // escalating frame's window has fully elapsed.
-  //
-  // Storage is chunk-lazy: instead of carving n_gw x total samples up
-  // front (which dominated the arena footprint of escalation-free 10k
-  // trials), each (gateway, run-of-kEscChunkSlots-slots) chunk is
-  // carved from the arena the first time an escalation touches it. A
-  // decode window may straddle chunks, so escalations gather their
-  // window into the contiguous `esc_win` scratch before the envelope
-  // stage — a memcpy of identical sample values, hence bit-identical
-  // verdicts. Escalation demand is deterministic per trial, so the
-  // arena's high-water capacity is replay-stable (pinned by
-  // tests/sim/synthesis_test.cpp).
-  constexpr std::size_t kEscChunkSlots = 4;
-  const std::size_t esc_chunks_per_gw =
-      (slots + kEscChunkSlots - 1) / kEscChunkSlots;
-  std::span<cf32*> esc_chunks{};
-  std::span<std::uint8_t> esc_built{};
-  std::span<cf32> esc_win{};
-  std::span<float> esc_env{};
-  if (hybrid) {
-    frame_log.reserve(n_tags);
-    slot_frames_off.assign(slots + 1, 0);
-    esc_chunks = arena.alloc<cf32*>(n_gw * esc_chunks_per_gw);
-    std::fill(esc_chunks.begin(), esc_chunks.end(), nullptr);
-    esc_built = arena.alloc_zeroed<std::uint8_t>(n_gw * slots);
-    // A decode window spans at most frame_slots_ + 1 + ceil(tail/slot)
-    // slots (one warm-up slot before the burst, the sync tail after).
-    const std::size_t tail = 2 * config_.modem.data.rates.samples_per_bit();
-    const std::size_t win_slots =
-        frame_slots_ + 1 + (tail + slot_samples_ - 1) / slot_samples_;
-    esc_win = arena.alloc<cf32>(win_slots * slot_samples_);
-    esc_env = arena.alloc<float>(win_slots * slot_samples_);
-  }
-  const auto esc_slot_ptr = [&](std::size_t g, std::size_t s) -> cf32* {
-    cf32*& chunk = esc_chunks[g * esc_chunks_per_gw + s / kEscChunkSlots];
-    if (chunk == nullptr) {
-      chunk = arena.alloc<cf32>(kEscChunkSlots * slot_samples_).data();
-    }
-    return chunk + (s % kEscChunkSlots) * slot_samples_;
-  };
-  std::vector<std::size_t> esc_order;
-  // Escalated-demod memo: colliding frames that started in the same
-  // slot share the identical decode window at a gateway (the window
-  // bounds derive from start_slot alone and the cached samples never
-  // change once built), so the receiver output is the same — only the
-  // per-tag payload comparison differs. First escalation at a
-  // (gateway, start_slot) runs the demodulator and stores the result;
-  // cluster peers reuse it bit-for-bit.
-  struct EscDemod {
-    std::uint32_t g;
-    std::uint64_t start;
-    core::FdRxResult r;
-  };
-  std::vector<EscDemod> esc_demod;
-  std::vector<LinkVerdict> gw_verdict(n_gw, LinkVerdict::kClearFail);
-  std::vector<double> gw_margin(
-      n_gw, -std::numeric_limits<double>::infinity());
-
+  // the identical order, so only the verdict mechanism differs.
+  const bool waveform_all = cfg.fleet.fidelity == FidelityMode::kWaveform;
+  const bool hybrid = cfg.fleet.fidelity == FidelityMode::kHybrid;
+  const bool analytic_on = !waveform_all || cfg.fleet.record_frames;
+  const bool fd = sim.policy_->aborts_on_notify();  // notify aborts
   // Decode windows reach a couple of chips past the burst (RC group
   // delay shifts sync late by a fraction of a chip), never a full slot:
   // keeping the tail short stops a back-to-back successor frame's
   // preamble from entering this frame's sync search.
-  const auto& rates = config_.modem.data.rates;
-  const std::size_t tail_samples = 2 * rates.samples_per_bit();
+  const std::size_t tail_samples = 2 * cfg.modem.data.rates.samples_per_bit();
+  // Fault realisation (empty when injection is off), drawn from a salted
+  // side substream; fault-free trials never enter a fault code path.
+  const FaultPlan fplan = sim.injector_.plan(trial_index);
+  const bool has_faults = fplan.any();
 
-  // MAC setup: the policy hands out the trial-opening waits and every
-  // later one; contention policies draw from the trial Rng in the
-  // identical order the pre-extraction loop did, the scheduled policy
-  // computes cell distances without touching it.
-  std::vector<TagRt> rt;
-  rt.reserve(n_tags);
-  for (std::size_t k = 0; k < n_tags; ++k) {
-    rt.emplace_back(config_.storage, config_.power);
-    rt[k].counter = policy_->initial_wait(k, rt[k].mac, rng);
-  }
+  NetworkTrialResult res;
+  // Everything stochastic about this trial is keyed by (seed,
+  // trial_index) — the purity contract the parallel runner needs.
+  Rng rng = Rng::substream(cfg.seed, trial_index);
+  const std::unique_ptr<channel::AmbientSource> source =
+      channel::make_ambient_source(cfg.carrier, rng());
+  // Coherence block = trial index; a static channel reads the
+  // construction cache (StaticFading consumes no draws).
+  const ChannelTables ch =
+      sim.static_channel_
+          ? sim.static_channel_->tables
+          : sim.build_channel(*channel::make_fading(cfg.fading, rng), rng,
+                              trial_index, arena);
+  const bool relay_on = cfg.relay.enabled && sim.relay_topo_.num_links() > 0;
+  GatewayFailover failover{cfg, trial_index, ch.serving, ch.h_tr};
+  RelayFabric relay = relay_on
+                          ? RelayFabric(sim.relay_topo_, cfg.relay, frame_slots)
+                          : RelayFabric();
+  std::vector<TagRt> rt = std::vector<TagRt>(n_tags);
+  EnergyTracker energy{cfg, ch.h_idle, ch.h_act, sim.slot_seconds(),
+                       res.tags, arena};
 
-  // Wake-slot buckets (active engine): a pending MAC counter becomes
-  // one scheduled wake event in a per-slot intrusive list — headA holds
-  // backoff expiries, headD verdict-wait expiries, and every tag sits
-  // in at most one list (it holds exactly one counter at a time), so
-  // one shared `next` array links both. Fired lists are collected and
-  // sorted ascending before processing, which reproduces the reference
-  // engine's ascending-k scan order — and therefore its RNG draw order
-  // — exactly. Counters whose expiry lands past the trial are simply
-  // not scheduled (the reference's countdown never reaches zero
-  // in-trial either).
-  constexpr std::uint32_t kNilTag = 0xffffffffu;
+  // Ambient carrier. kWaveform materialises the whole trial upfront;
+  // kHybrid streams it lazily up to the highest sample any escalated
+  // window has needed so far (the source is sequential, so the prefix
+  // is identical either way); kAnalytic never touches samples. A
+  // constant carrier (zero-drift CW, every network scenario) is the
+  // same in every slot: one slot-long buffer, read at offset 0.
+  const std::optional<cf32> constant_carrier = source->constant();
+  std::span<cf32> ambient{};
+  std::size_t ambient_filled = 0;
+
+  // Per-gateway receive chains: AWGN (one fork per gateway, in index
+  // order — forked in every mode to keep downstream MAC draws aligned),
+  // and in kWaveform the RC envelope state carried across slots plus a
+  // full-trial envelope history each. In kHybrid the AWGN forks are
+  // consumed by escalated windows instead of per-slot synthesis.
+  std::span<channel::AwgnChannel> noise{};
+  std::span<dsp::EnvelopeDetector> envelopes{};
+  std::span<float> env_buf{};
+  std::span<cf32> rx_slot{};
+  // Cross-entity slot-synthesis scratch (kWaveform slots and kHybrid
+  // escalations both run the fused per-gateway kernel): entity mask
+  // pointers, the coupling pair of each entity at the gateway being
+  // synthesized, and the coefficient accumulator.
+  std::span<const std::uint8_t*> mask_ptrs{};
+  std::span<cf32> slot_on{}, slot_off{}, coeff_scratch{};
+
+  // Analytic interference over the channel's swing tables: the active
+  // engine folds a running per-(tag, gateway) max while the frame is on
+  // air, the reference keeps per-(gateway, slot) sum rows and rescans
+  // the frame window (max is exact and order-independent, hence
+  // bit-identical).
+  std::span<float> i_max{}, i_sum{};
+
+  // Hybrid escalator (kHybrid): the frame log and per-slot index of who
+  // was on air (amortised std::vectors — escalation demand is
+  // data-dependent and mid-trial), and the slot cache: the noisy
+  // synthesized receive history per (gateway, slot), built the first
+  // time any escalated window touches the slot and shared by every
+  // later one, so overlapping contested frames see one noise
+  // realisation, as on the waveform path. A slot is final once built:
+  // escalations run at verdict time, when every frame that can overlap
+  // it is logged. Storage is chunk-lazy — each (gateway, kChunkSlots
+  // slots) is carved on first touch and a window straddling chunks is
+  // gathered into `win` (identical samples) — and demand is
+  // deterministic, so the arena's high-water capacity is replay-stable
+  // (tests/sim/synthesis_test.cpp).
+  struct Escalator {
+    static constexpr std::size_t kChunkSlots = 4;
+    std::vector<FrameLog> frame_log;
+    std::vector<std::uint32_t> slot_frames;
+    std::vector<std::uint32_t> slot_frames_off;
+    std::size_t chunks_per_gw = 0;
+    std::span<cf32*> chunks{};
+    std::span<std::uint8_t> built{};
+    std::span<cf32> win{};
+    std::span<float> env{};
+    std::vector<std::size_t> order;
+    // Demod memo: colliding frames that started in the same slot share
+    // the decode window at a gateway (its bounds derive from start_slot
+    // alone and built slots never change), so the receiver output is
+    // the same — only the per-tag payload comparison differs.
+    struct Demod {
+      std::uint32_t g;
+      std::uint64_t start;
+      core::FdRxResult r;
+    };
+    std::vector<Demod> demod;
+  } esc;
+
+  // Verdict resolver scratch: per-gateway analytic verdicts and margins
+  // of the frame being resolved.
+  std::vector<LinkVerdict> gw_verdict =
+      std::vector<LinkVerdict>(n_gw, LinkVerdict::kClearFail);
+  std::vector<double> gw_margin =
+      std::vector<double>(n_gw, -std::numeric_limits<double>::infinity());
+
+  // Slot-engine bookkeeping. `active` holds the on-air tags ascending;
+  // the active engine keeps pending waits as wake events in per-slot
+  // intrusive lists — headA backoff expiries, headD verdict-wait
+  // expiries; a tag holds one counter at a time, so one `next` array
+  // links both.
+  std::vector<std::size_t> active;
+  std::size_t n_waiting = 0;  // tags in WaitVerdict
+  std::uint64_t idle_wait_slots = 0;
   std::span<std::uint32_t> headA{}, headD{}, bucket_next{}, fired{};
-  std::span<std::uint32_t> e_next{};  // first slot w/ unapplied energy
-  if constexpr (ActiveSet) {
-    headA = arena.alloc<std::uint32_t>(slots);
-    headD = arena.alloc<std::uint32_t>(slots);
-    std::fill(headA.begin(), headA.end(), kNilTag);
-    std::fill(headD.begin(), headD.end(), kNilTag);
-    bucket_next = arena.alloc<std::uint32_t>(n_tags);
-    fired = arena.alloc<std::uint32_t>(n_tags);
-    e_next = arena.alloc<std::uint32_t>(n_tags);
-    std::fill(e_next.begin(), e_next.end(), 0u);
-  }
-  const auto schedule = [&](std::span<std::uint32_t> heads, std::size_t k,
-                            std::uint64_t fire_slot) {
-    if (fire_slot >= slots) return;
-    bucket_next[k] = heads[fire_slot];
-    heads[fire_slot] = static_cast<std::uint32_t>(k);
-  };
-  if constexpr (ActiveSet) {
+
+  double verdict_acc = 0.0;  // resolve time incl. escalation (wall s)
+  double esc_acc = 0.0;      // escalation share of verdict_acc
+
+  Trial(const NetworkSimulator& s, std::uint64_t trial, SynthArena& a,
+        TrialStageTimes* st)
+      : sim(s), trial_index(trial), arena(a), stages(st) {
+    res.tags.resize(n_tags);
+    res.gateway_decodes.resize(n_gw);
+    res.slots = slots;
+    if (cfg.fleet.record_frames) start_digests(res.envelope_digest, n_gw);
+    if (waveform_all || hybrid) {
+      ambient = arena.alloc<cf32>(constant_carrier ? slot_samples : total);
+    }
+    if (constant_carrier) {
+      std::fill(ambient.begin(), ambient.end(), *constant_carrier);
+      ambient_filled = total;
+    } else if (waveform_all) {
+      ensure_ambient(total);
+    }
+
+    noise = arena.alloc<channel::AwgnChannel>(n_gw);
+    static_assert(std::is_trivially_destructible_v<channel::AwgnChannel>);
+    static_assert(std::is_trivially_destructible_v<dsp::EnvelopeDetector>);
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      std::construct_at(&noise[g], cfg.noise_power_w(), rng.fork());
+    }
+    if (waveform_all) {
+      envelopes = arena.alloc<dsp::EnvelopeDetector>(n_gw);
+      for (std::size_t g = 0; g < n_gw; ++g) {
+        std::construct_at(&envelopes[g], sim.synth_.make_envelope());
+      }
+      env_buf = arena.alloc_zeroed<float>(n_gw * total);
+      rx_slot = arena.alloc<cf32>(n_gw * slot_samples);
+    }
+    if (waveform_all || hybrid) {
+      mask_ptrs = arena.alloc<const std::uint8_t*>(n_tags);
+      slot_on = arena.alloc<cf32>(n_tags);
+      slot_off = arena.alloc<cf32>(n_tags);
+      coeff_scratch = arena.alloc<cf32>(slot_samples);
+    }
+    if (analytic_on) {
+      if constexpr (ActiveSet) {
+        i_max = arena.alloc<float>(n_tags * n_gw);  // rows zeroed per frame
+      } else {
+        i_sum = arena.alloc_zeroed<float>(n_gw * slots);
+      }
+    }
+    if (hybrid) {
+      esc.frame_log.reserve(n_tags);
+      esc.slot_frames_off.assign(slots + 1, 0);
+      esc.chunks_per_gw = (slots + Escalator::kChunkSlots - 1) /
+                          Escalator::kChunkSlots;
+      esc.chunks = arena.alloc<cf32*>(n_gw * esc.chunks_per_gw);
+      std::fill(esc.chunks.begin(), esc.chunks.end(), nullptr);
+      esc.built = arena.alloc_zeroed<std::uint8_t>(n_gw * slots);
+      // A decode window spans at most frame_slots + 1 + ceil(tail/slot)
+      // slots (one warm-up slot before the burst, the sync tail after).
+      const std::size_t win_slots =
+          frame_slots + 1 + (tail_samples + slot_samples - 1) / slot_samples;
+      esc.win = arena.alloc<cf32>(win_slots * slot_samples);
+      esc.env = arena.alloc<float>(win_slots * slot_samples);
+    }
+
+    // MAC setup: the policy hands out the trial-opening waits;
+    // contention policies draw from the trial Rng in the identical
+    // order the pre-extraction loop did, the scheduled policy computes
+    // cell distances without touching it.
+    active.reserve(n_tags);
     for (std::size_t k = 0; k < n_tags; ++k) {
+      rt[k].counter = sim.policy_->initial_wait(k, rt[k].mac, rng);
+    }
+    if constexpr (ActiveSet) {
+      headA = arena.alloc<std::uint32_t>(slots);
+      headD = arena.alloc<std::uint32_t>(slots);
+      std::fill(headA.begin(), headA.end(), kNilTag);
+      std::fill(headD.begin(), headD.end(), kNilTag);
+      bucket_next = arena.alloc<std::uint32_t>(n_tags);
+      fired = arena.alloc<std::uint32_t>(n_tags);
       // An initial counter c is examined from slot 0 with the
       // `counter == 0 || --counter == 0` convention: c <= 1 fires at
       // slot 0, otherwise at slot c - 1.
-      const std::size_t c = rt[k].counter;
-      schedule(headA, k, c <= 1 ? 0 : static_cast<std::uint64_t>(c) - 1);
+      for (std::size_t k = 0; k < n_tags; ++k) {
+        const std::size_t c = rt[k].counter;
+        schedule(headA, k, c <= 1 ? 0 : static_cast<std::uint64_t>(c) - 1);
+      }
     }
   }
 
-  const auto redraw_wait = [&](std::size_t k, std::uint64_t slot) {
-    rt[k].counter = policy_->next_wait(k, slot, rt[k].mac, rng);
-    if constexpr (ActiveSet) {
-      // A wait assigned while processing slot s is first examined at
-      // s + 1, so it fires at s + max(c, 1).
-      schedule(headA, k,
-               slot + std::max<std::uint64_t>(rt[k].counter, 1));
-    }
-  };
+  // --- Wake scheduling ---------------------------------------------------
 
-  // Energy bookkeeping. One slot of the recurrence, split by activity
-  // state — the reference engine applies one of these to every tag
-  // every slot; the active engine applies the active step to on-air
-  // tags only and fast-forwards idle spans (ff_idle replays the exact
-  // same per-slot sequence, so storage clamps, leak ticks, ledger adds
-  // and draw failures land bit-identically; e_next[k] is the first slot
-  // whose recurrence has not been applied yet).
-  const auto idle_step = [&](std::size_t k) {
-    res.tags[k].harvested_j += ch.h_idle[k];
-    if (!config_.energy_gating) return;
-    TagRt& tag = rt[k];
-    tag.storage.charge(ch.h_idle[k]);
-    tag.storage.tick(dt);
-    tag.ledger.spend(energy::TagState::kListening, dt);
-    // A failed draw while merely listening drains the store but is not
-    // an outage event — only gated starts and mid-frame brownouts
-    // count, per the NetworkTagStats contract.
-    tag.storage.draw(config_.power.power(energy::TagState::kListening) * dt);
-  };
-  const auto active_step = [&](std::size_t k) {
-    res.tags[k].harvested_j += ch.h_act[k];
-    if (!config_.energy_gating) return;
-    TagRt& tag = rt[k];
-    tag.storage.charge(ch.h_act[k]);
-    tag.storage.tick(dt);
-    tag.ledger.spend(energy::TagState::kBackscattering, dt);
-    if (!tag.storage.draw(
-            config_.power.power(energy::TagState::kBackscattering) * dt)) {
+  /// Files tag k under `fire_slot` in a wake list; a wait whose expiry
+  /// lands past the trial is not scheduled (the countdown never reaches
+  /// zero in-trial either).
+  void schedule(std::span<std::uint32_t> heads, std::size_t k,
+                std::uint64_t fire_slot) {
+    if (fire_slot >= slots) return;
+    bucket_next[k] = heads[fire_slot];
+    heads[fire_slot] = static_cast<std::uint32_t>(k);
+  }
+
+  /// Collects and sorts the tags filed under `slot`: ascending order
+  /// reproduces the countdown scan's ascending-k visits — and therefore
+  /// its RNG draw order — exactly.
+  std::span<const std::uint32_t> fire(std::span<std::uint32_t> heads,
+                                      std::uint64_t slot) {
+    std::size_t n = 0;
+    for (std::uint32_t t = heads[slot]; t != kNilTag; t = bucket_next[t]) {
+      fired[n++] = t;
+    }
+    heads[slot] = kNilTag;
+    std::sort(fired.begin(), fired.begin() + n);
+    return fired.first(n);
+  }
+
+  /// Tag k's counter c was assigned while processing `slot`: the
+  /// countdown first examines it at slot + 1, so the active engine files
+  /// it under slot + max(c, 1).
+  void arm(std::span<std::uint32_t> heads, std::size_t k, std::uint64_t slot) {
+    if constexpr (ActiveSet) {
+      schedule(heads, k, slot + std::max<std::uint64_t>(rt[k].counter, 1));
+    }
+  }
+
+  void redraw_wait(std::size_t k, std::uint64_t slot) {
+    rt[k].counter = sim.policy_->next_wait(k, slot, rt[k].mac, rng);
+    arm(headA, k, slot);
+  }
+
+  // --- Frame transitions -------------------------------------------------
+
+  /// Phase A: tag k's backoff expired at `slot`. A frame that could not
+  /// fully resolve inside the trial is not started (the tag parks past
+  /// the horizon); a gated tag that cannot afford the frame counts an
+  /// outage and backs off again; otherwise the frame starts.
+  void wake(std::size_t k, std::uint64_t slot) {
+    if (slot + frame_slots + 2 > slots) {
+      rt[k].counter = slots;
+      return;
+    }
+    energy.catch_up(k, slot);  // gating reads storage: bring it current
+    if (cfg.energy_gating && energy.level_j(k) < sim.frame_cost_j_) {
       ++res.tags[k].energy_outages;
-      tag.brownout_now = true;
+      redraw_wait(k, slot);
+      return;
     }
-  };
-  const auto ff_idle = [&](std::size_t k, std::uint64_t upto) {
+    start_frame(k, slot);
+    active.insert(std::lower_bound(active.begin(), active.end(), k), k);
     if constexpr (ActiveSet) {
-      for (std::uint64_t s = e_next[k]; s < upto; ++s) idle_step(k);
-      e_next[k] = static_cast<std::uint32_t>(upto);
+      if (analytic_on) std::fill_n(i_max.begin() + k * n_gw, n_gw, 0.0f);
     }
-  };
+  }
 
-  const bool fd = policy_->aborts_on_notify();
-  std::uint64_t idle_wait_slots = 0;
-  std::size_t n_waiting = 0;  // tags in WaitVerdict (active engine)
-  std::vector<std::size_t> active;
-  active.reserve(n_tags);
-
-  // Worst-case concurrent interference a frame of tag k saw at gateway
-  // g: the max over its on-air slots of the in-range active half-swing
-  // sum, minus the tag's own contribution. Under faults i_sum already
-  // carries the per-slot fault scaling plus attenuated interferer
-  // envelopes; the own-share subtraction then uses the *minimum* window
-  // scale — subtracting the least the tag could have contributed keeps
-  // the residual an over-estimate, which is the safe side for the
-  // one-sided classifier.
-  const auto worst_interference = [&](std::size_t k, std::size_t g) {
-    const TagRt& tag = rt[k];
-    float worst = 0.0f;
-    if constexpr (ActiveSet) {
-      // The per-busy-slot segment max folded while the frame was on
-      // air: a frame is active over exactly [start, start + frame)
-      // slots, so the running max covers the identical window the
-      // reference scan does (max is exact — same bits, no rescan).
-      worst = i_max[k * n_gw + g];
-    } else {
-      const float* row = &i_sum[g * slots];
-      for (std::uint64_t s = tag.start_slot;
-           s < tag.start_slot + frame_slots_; ++s) {
-        worst = std::max(worst, row[s]);
+  /// Frame start: the same bookkeeping (and Rng draw sequence) in both
+  /// engines. A queued forward outranks fresh traffic and draws no
+  /// payload: the scheduled MAC never touches the trial Rng either, so
+  /// the draw sequence is a pure function of the queue evolution.
+  void start_frame(std::size_t k, std::uint64_t slot) {
+    TagRt& tag = rt[k];
+    tag.st = TagRt::St::kTx;
+    tag.progress = 0;
+    tag.start_slot = slot;
+    tag.overlapped = false;
+    tag.forwarding = false;
+    if (relay_on) {
+      if (auto f = relay.pop(k, res)) {
+        tag.forwarding = true;
+        tag.fwd_originator = f->originator;
+        tag.fwd_hops = f->hops;
+        tag.payload = std::move(f->payload);
       }
     }
-    double own = in_range_[k * n_gw + g]
+    if (!tag.forwarding) {
+      ++res.tags[k].frames_attempted;
+      tag.payload.resize(cfg.payload_bytes);
+      for (auto& byte : tag.payload) {
+        byte = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+    }
+    // Antenna states are only modulated where samples are needed:
+    // per-slot synthesis (kWaveform) now, escalated windows (kHybrid)
+    // lazily from the frame log, never in kAnalytic.
+    if (waveform_all) {
+      tag.states = frame_states(static_cast<std::uint32_t>(k), slot,
+                                tag.payload);
+    } else if (hybrid) {
+      tag.frame_id = static_cast<std::uint32_t>(esc.frame_log.size());
+      esc.frame_log.push_back(
+          {static_cast<std::uint32_t>(k), slot, tag.payload, {}});
+    }
+  }
+
+  /// Phase C for on-air tag k: progress, overlap, aborts, frame end.
+  /// Returns whether the tag is still on air after this slot.
+  bool advance(std::size_t k, std::uint64_t slot, bool collision_now) {
+    TagRt& tag = rt[k];
+    ++tag.progress;
+    if (collision_now && !tag.overlapped) {
+      tag.overlapped = true;
+      tag.overlap_start = slot;
+    }
+    if (energy.take_brownout(k)) {
+      // Storage emptied under the switch drive: the frame dies on air.
+      abort_frame(k, slot, Loss::kBrownout);
+      return false;
+    }
+    if (notified(k, slot)) {
+      abort_frame(k, slot, Loss::kNotified);
+      return false;
+    }
+    if (tag.progress < frame_slots) return true;
+    // Frame fully on air. The policy decides the drain: one slot for the
+    // final block verdict (notify / scheduled), the ACK timeout for the
+    // timeout MAC.
+    tag.st = TagRt::St::kWaitVerdict;
+    tag.counter = sim.policy_->verdict_wait_slots();
+    tag.wait_entered_now = true;
+    ++n_waiting;
+    arm(headD, k, slot);
+    return false;
+  }
+
+  /// Whether a collision notification has reached tag k by `slot`:
+  /// latency counts from the overlap's start, not the frame's. Under
+  /// faults only a gateway alive when the overlap began can notify, so
+  /// an outage leaves the tag burning the collided frame until a slower
+  /// healthy gateway's notice arrives (what failover responds to).
+  bool notified(std::size_t k, std::uint64_t slot) const {
+    const TagRt& tag = rt[k];
+    if (!fd || !tag.overlapped) return false;
+    const std::uint64_t waited = slot - tag.overlap_start + 1;
+    if (!has_faults) return waited >= sim.notify_slots_[k];
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      if (waited >= sim.notify_pg_[k * n_gw + g] &&
+          fplan.gateway_alive(g, tag.overlap_start)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Kills tag k's frame on air at `slot` and returns it to backoff.
+  [[gnu::noinline]] void abort_frame(std::size_t k, std::uint64_t slot,
+                                     Loss how) {
+    fail_frame(k, slot, how);
+    if (has_faults) classify_fault_loss(k, /*delivered=*/false);
+    if (how == Loss::kNotified) sim.policy_->on_notify_abort(k, rt[k].mac);
+    rt[k].st = TagRt::St::kBackoff;
+    redraw_wait(k, slot);
+  }
+
+  /// Phase D: tag k's verdict wait expired at `slot`.
+  void finish_wait(std::size_t k, std::uint64_t slot) {
+    resolve_frame(k, slot, /*update_mac=*/true);
+    rt[k].st = TagRt::St::kBackoff;
+    --n_waiting;
+    redraw_wait(k, slot);
+  }
+
+  /// The one tally of a lost frame. A forward's loss is a fabric drop
+  /// (the relay's own per-tag counters stay untouched). Otherwise an
+  /// overlapped frame is a collision, timed from its first overlapped
+  /// slot to `learn_slot` unless it browned out; a clean one the PHY
+  /// still lost is a sync failure.
+  void fail_frame(std::size_t k, std::uint64_t learn_slot, Loss how) {
+    const TagRt& tag = rt[k];
+    if (relay_on && tag.forwarding) {
+      relay.drop(tag.fwd_originator, learn_slot, res);
+      return;
+    }
+    if (how != Loss::kVerdict) ++res.tags[k].frames_aborted;
+    if (tag.overlapped) {
+      ++res.tags[k].frames_collided;
+      ++res.collisions;
+      if (how != Loss::kBrownout) {
+        res.detect_latency_slots.add(
+            static_cast<double>(learn_slot - tag.overlap_start + 1));
+      }
+    } else if (how == Loss::kVerdict) {
+      ++res.sync_failures;
+    }
+  }
+
+  /// Credits tag k's delivered frame (a forward to its originator).
+  void deliver_frame(std::size_t k) {
+    const TagRt& tag = rt[k];
+    const bool fwd = relay_on && tag.forwarding;
+    const std::size_t owner = fwd ? tag.fwd_originator : k;
+    ++res.tags[owner].frames_delivered;
+    res.tags[owner].payload_bits_delivered += cfg.payload_bytes * 8;
+    if (fwd) {
+      ++res.relayed_delivered;
+      res.relay_hops.add(static_cast<double>(tag.fwd_hops + 1));
+      relay.delivered(tag.fwd_originator);
+    }
+    res.useful_slots += frame_slots;
+  }
+
+  /// Trial end. Attempts still waiting on a verdict have fully
+  /// synthesized frames (starts are parked otherwise): they resolve for
+  /// the stats without MAC consequences. Frames still sitting in
+  /// forwarding queues never reached a gateway: fabric drops.
+  NetworkTrialResult finish(Clock::time_point t_loop) {
+    const std::vector<double>* idle_sum =
+        sim.static_channel_ ? &sim.static_channel_->idle_sum : nullptr;
+    for (std::size_t k = 0; k < n_tags; ++k) {
+      if (rt[k].st == TagRt::St::kWaitVerdict) {
+        resolve_frame(k, slots - 1, /*update_mac=*/false);
+      }
+      rt[k].st = TagRt::St::kBackoff;
+      energy.settle(k, slots, idle_sum);
+    }
+    res.relay_drops += relay.backlog();
+    if (waveform_all && cfg.fleet.record_frames) {
+      fold_histories(res.envelope_digest, env_buf, total);
+    }
+    res.wasted_slots = std::max(res.busy_slots, res.useful_slots) -
+                       res.useful_slots + idle_wait_slots;
+    if (stages) {
+      // Pure measurement: the verdict/escalation shares were accumulated
+      // at their dispatch sites; the slot-loop share is the remainder.
+      stages->slot_loop_s += seconds_since(t_loop) - verdict_acc;
+      stages->verdict_s += verdict_acc - esc_acc;
+      stages->escalate_s += esc_acc;
+    }
+    return std::move(res);
+  }
+
+  // --- Slot synthesis and interference -----------------------------------
+
+  /// The carrier under the slot starting at trial sample `base`.
+  std::span<const cf32> slot_carrier(std::size_t base) const {
+    return std::span<const cf32>(ambient).subspan(constant_carrier ? 0 : base,
+                                                  slot_samples);
+  }
+  void ensure_ambient(std::size_t hi_sample) {
+    if (hi_sample > ambient_filled) {
+      source->generate(
+          ambient.subspan(ambient_filled, hi_sample - ambient_filled));
+      ambient_filled = hi_sample;
+    }
+  }
+
+  /// One gateway-slot at gateway g through the fused kernel over the
+  /// first `n_ent` staged entities (mask_ptrs, slot_on, slot_off), then
+  /// the slot's faults and the gateway's AWGN fork, into `out`.
+  void synth_gateway_slot(std::size_t g, std::uint64_t slot, std::size_t n_ent,
+                          std::span<cf32> out) {
+    WaveformSynthesizer::synthesize_slot_gateway(
+        slot_carrier(static_cast<std::size_t>(slot) * slot_samples),
+        ch.h_sr[g],
+        std::span<const std::uint8_t* const>(mask_ptrs.data(), n_ent),
+        std::span<const cf32>(slot_on.data(), n_ent),
+        std::span<const cf32>(slot_off.data(), n_ent), coeff_scratch, out);
+    if (has_faults) apply_slot_faults(g, slot, out);
+    noise[g].process(out, out);
+  }
+
+  /// kWaveform Phase B: every on-air tag's mask block for this slot is
+  /// resolved once (the zero-padded modulated frames make each a plain
+  /// pointer view), then each gateway runs the fused kernel, its AWGN
+  /// fork and its RC envelope state.
+  [[gnu::noinline]] void synthesize_slot(std::uint64_t slot) {
+    const std::size_t base = static_cast<std::size_t>(slot) * slot_samples;
+    for (std::size_t e = 0; e < active.size(); ++e) {
+      const TagRt& tag = rt[active[e]];
+      mask_ptrs[e] = tag.states.data() +
+                     static_cast<std::size_t>(slot - tag.start_slot) *
+                         slot_samples;
+    }
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      for (std::size_t e = 0; e < active.size(); ++e) {
+        slot_on[e] = ch.coup_on[active[e] * n_gw + g];
+        slot_off[e] = ch.coup_off[active[e] * n_gw + g];
+      }
+      const auto gw_slot = rx_slot.subspan(g * slot_samples, slot_samples);
+      synth_gateway_slot(g, slot, active.size(), gw_slot);
+      envelopes[g].process(gw_slot,
+                           env_buf.subspan(g * total + base, slot_samples));
+    }
+    res.gateway_slots_synthesized += n_gw;
+  }
+
+  /// This slot's sum of in-range on-air half-swings at gateway g. Under
+  /// faults it mirrors the synthesis transform: the swings scale with
+  /// the carrier sag and the gateway attenuation, and burst-interferer
+  /// envelopes arrive over the air (so they pass the attenuation too).
+  float slot_interference(std::size_t g, std::uint64_t slot) const {
+    float sum = 0.0f;
+    for (const std::size_t k : active) {
+      if (sim.in_range_[k * n_gw + g]) sum += ch.half[k * n_gw + g];
+    }
+    if (has_faults) {
+      sum = sum * fplan.signal_scale(g, slot) +
+            fplan.interferer_env(g, slot) * fplan.gateway_atten(g, slot);
+    }
+    return sum;
+  }
+
+  /// Phase B interference bookkeeping. The active engine maxes the
+  /// slot's sums into every on-air tag's running window maximum — a
+  /// frame is on air over exactly [start, start + frame) slots, so the
+  /// maxima cover the window the reference rescans. The reference
+  /// writes sum rows, every slot under faults (an interferer raises the
+  /// sum even with no tag on air).
+  void fold_interference(std::uint64_t slot) {
+    if constexpr (ActiveSet) {
+      if (active.empty()) return;
+      for (std::size_t g = 0; g < n_gw; ++g) {
+        const float sum = slot_interference(g, slot);
+        for (const std::size_t k : active) {
+          float& m = i_max[k * n_gw + g];
+          if (sum > m) m = sum;
+        }
+      }
+    } else {
+      if (active.empty() && !has_faults) return;
+      for (std::size_t g = 0; g < n_gw; ++g) {
+        i_sum[g * slots + slot] = slot_interference(g, slot);
+      }
+    }
+  }
+
+  /// Worst-case concurrent interference a frame of tag k saw at gateway
+  /// g: the max over its on-air slots of the interference sum, minus the
+  /// tag's own contribution. Under faults the own share uses the
+  /// *minimum* window scale — subtracting the least the tag could have
+  /// contributed keeps the residual an over-estimate, the safe side for
+  /// the one-sided classifier.
+  double worst_interference(std::size_t k, std::size_t g) const {
+    const std::uint64_t lo = rt[k].start_slot;
+    float worst = 0.0f;
+    if constexpr (ActiveSet) {
+      worst = i_max[k * n_gw + g];
+    } else {
+      for (std::uint64_t s = lo; s < lo + frame_slots; ++s) {
+        worst = std::max(worst, i_sum[g * slots + s]);
+      }
+    }
+    double own = sim.in_range_[k * n_gw + g]
                      ? 0.5 * static_cast<double>(ch.delta[k * n_gw + g])
                      : 0.0;
-    if (has_faults) {
-      own *= fplan.min_signal_scale(g, tag.start_slot,
-                                    tag.start_slot + frame_slots_);
-    }
+    if (has_faults) own *= fplan.min_signal_scale(g, lo, lo + frame_slots);
     return std::max(0.0, static_cast<double>(worst) - own);
-  };
+  }
 
-  // Rewrites a frame's zero-padded antenna states for the transmitting
-  // tag's own hardware fault: a stuck switch pins every sample of the
-  // fault-covered slots to the jammed position; oscillator drift shifts
-  // the whole burst by the skew accumulated since fault onset (the
-  // receiver's sync search absorbs the shift until the burst overruns
-  // its decode window). Shared by kWaveform modulation and the lazy
-  // escalation-log modulation so both fidelity paths synthesize the
-  // identical faulted waveform.
-  const auto apply_tag_fault_states = [&](std::uint32_t k,
-                                          std::uint64_t start_slot,
-                                          std::vector<std::uint8_t>& states) {
+  // --- Faults ------------------------------------------------------------
+
+  /// The zero-padded antenna states of tag k's frame started at
+  /// `start_slot`, with the tag's own hardware fault applied: kWaveform
+  /// modulation and lazy escalation both come here, so both fidelity
+  /// paths synthesize the identical faulted waveform. Zero-padding to
+  /// whole slots (state 0 is absorb — the "frame ended mid-slot"
+  /// semantics) makes every slot of the frame a plain pointer view.
+  std::vector<std::uint8_t> frame_states(
+      std::uint32_t k, std::uint64_t start_slot,
+      const std::vector<std::uint8_t>& payload) const {
+    std::vector<std::uint8_t> states = sim.tx_.modulate(payload);
+    states.resize(frame_slots * slot_samples, 0);
+    if (has_faults) apply_tag_fault_states(k, start_slot, states);
+    return states;
+  }
+
+  /// A stuck switch pins every sample of the fault-covered slots to the
+  /// jammed position; oscillator drift shifts the whole burst by the
+  /// skew accumulated since fault onset (the receiver's sync search
+  /// absorbs the shift until the burst overruns its decode window).
+  [[gnu::noinline]] void apply_tag_fault_states(
+      std::uint32_t k, std::uint64_t start_slot,
+      std::vector<std::uint8_t>& states) const {
     const TagFault* f = fplan.tag_fault(k);
     if (f == nullptr) return;
+    const auto start = static_cast<std::int64_t>(start_slot);
     if (f->stuck) {
-      const std::int64_t lo =
-          std::max<std::int64_t>(f->start_slot,
-                                 static_cast<std::int64_t>(start_slot));
+      const std::int64_t lo = std::max<std::int64_t>(f->start_slot, start);
       const std::int64_t hi = std::min<std::int64_t>(
-          f->end_slot, static_cast<std::int64_t>(start_slot + frame_slots_));
+          f->end_slot, start + static_cast<std::int64_t>(frame_slots));
       if (lo >= hi) return;
-      const std::size_t a =
-          static_cast<std::size_t>(lo - static_cast<std::int64_t>(start_slot)) *
-          slot_samples_;
-      const std::size_t b =
-          static_cast<std::size_t>(hi - static_cast<std::int64_t>(start_slot)) *
-          slot_samples_;
-      std::fill(states.begin() + static_cast<std::ptrdiff_t>(a),
-                states.begin() + static_cast<std::ptrdiff_t>(b),
+      std::fill(states.begin() + (lo - start) *
+                                     static_cast<std::ptrdiff_t>(slot_samples),
+                states.begin() + (hi - start) *
+                                     static_cast<std::ptrdiff_t>(slot_samples),
                 f->stuck_state);
       return;
     }
-    const std::size_t shift = fplan.drift_shift_samples(
-        k, static_cast<std::int64_t>(start_slot));
+    const std::size_t shift = fplan.drift_shift_samples(k, start);
     if (shift == 0) return;
     if (shift >= states.size()) {
       std::fill(states.begin(), states.end(), std::uint8_t{0});
       return;
     }
     states.insert(states.begin(), shift, std::uint8_t{0});
-    states.resize(frame_slots_ * slot_samples_);
-  };
+    states.resize(frame_slots * slot_samples);
+  }
 
-  // In-place fault transform of one synthesized gateway-slot, applied
-  // between the fused slot kernel and the AWGN stage: the carrier sag
-  // scales every ambient-derived component (leakage and backscatter are
-  // both linear in the carrier, so post-scaling the clean sum is exact),
-  // burst-interferer tones arrive over the air, and the gateway
-  // attenuation then scales everything reaching the faulted front end —
-  // receiver noise stays unscaled.
-  const auto apply_slot_faults = [&](std::size_t g, std::size_t slot,
-                                     std::span<cf32> samples) {
+  /// In-place fault transform of one synthesized gateway-slot, between
+  /// the fused kernel and the AWGN stage: the carrier sag scales every
+  /// ambient-derived component (leakage and backscatter are both linear
+  /// in the carrier, so post-scaling the clean sum is exact),
+  /// burst-interferer tones arrive over the air, and the gateway
+  /// attenuation then scales everything reaching the faulted front end —
+  /// receiver noise stays unscaled.
+  [[gnu::noinline]] void apply_slot_faults(std::size_t g, std::size_t slot,
+                                           std::span<cf32> samples) const {
     const float cs = fplan.carrier_scale(slot);
     if (cs != 1.0f) {
       for (auto& v : samples) v *= cs;
@@ -1116,24 +1439,21 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     if (a != 1.0f) {
       for (auto& v : samples) v *= a;
     }
-  };
+  }
 
-  // Resilience attribution of one resolved or aborted frame: exposure
-  // is judged over the frame's on-air window at the gateways the
-  // combining policy listens to. Failed-and-exposed frames tally into
-  // every fault class whose window touched them (exposure, not causal
-  // attribution — see NetworkTrialResult).
-  const auto classify_fault_loss = [&](std::size_t k, bool delivered) {
-    const TagRt& tag = rt[k];
-    const std::size_t lo = tag.start_slot;
-    const std::size_t hi = tag.start_slot + frame_slots_;
+  /// Resilience attribution of one resolved or aborted frame: exposure
+  /// is judged over the frame's on-air window at the gateways the
+  /// combining policy listens to. Failed-and-exposed frames tally into
+  /// every fault class whose window touched them (exposure, not causal
+  /// attribution — see NetworkTrialResult).
+  [[gnu::noinline]] void classify_fault_loss(std::size_t k, bool delivered) {
+    const std::size_t lo = rt[k].start_slot;
+    const std::size_t hi = lo + frame_slots;
     const bool sag = fplan.window_has_sag(lo, hi);
     bool outage = false;
     bool interf = false;
     for (std::size_t g = 0; g < n_gw; ++g) {
-      const bool relevant = config_.combining == GatewayCombining::kAnyGateway ||
-                            g == serving_now[k];
-      if (!relevant) continue;
+      if (!failover.listens(k, g)) continue;
       outage = outage || fplan.window_has_outage(g, lo, hi);
       interf = interf || fplan.window_has_interference(g, lo, hi);
     }
@@ -1151,284 +1471,49 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     if (sag) ++res.frames_lost_sag;
     if (interf) ++res.frames_lost_interference;
     if (tagf) ++res.frames_lost_tag_fault;
-  };
+  }
 
-  // Failover bookkeeping after a frame outcome: a delivery clears the
-  // streak; a failure extends it, and hitting the threshold blacklists
-  // the serving gateway for a jittered capped-exponential holdoff and
-  // re-selects the best non-blacklisted link.
-  const auto note_frame_outcome = [&](std::size_t k, bool delivered,
-                                      std::uint64_t learn_slot) {
-    if (!failover_on) return;
-    TagRt& tag = rt[k];
-    if (delivered) {
-      fail_streak[k] = 0;
-      switch_count[k] = 0;
-      return;
-    }
-    if (fail_streak[k] == 0) streak_start[k] = tag.start_slot;
-    if (++fail_streak[k] < config_.failover_streak_frames) return;
-    const std::size_t old_g = serving_now[k];
-    const std::size_t holdoff = mac::failover_holdoff_slots(
-        failover_rng, config_.failover_holdoff_slots, switch_count[k],
-        config_.failover_max_exponent);
-    blacklist_until[k * n_gw + old_g] = learn_slot + 1 + holdoff;
-    std::size_t best = old_g;
-    float best_mag = -1.0f;
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      if (blacklist_until[k * n_gw + g] > learn_slot) continue;
-      const float mag = std::abs(ch.h_tr[k * n_gw + g]);
-      if (mag > best_mag) {
-        best_mag = mag;
-        best = g;
-      }
-    }
-    if (best != old_g) {
-      serving_now[k] = best;
-      ++res.failovers;
-      res.time_to_failover_slots.add(
-          static_cast<double>(learn_slot - streak_start[k] + 1));
-      ++switch_count[k];
-    }
-    fail_streak[k] = 0;
-  };
+  // --- Verdict resolver --------------------------------------------------
 
-  // End-to-end relay feedback: every loss of an originator's frame
-  // past its own transmission — a failed hop, a full or dying relay
-  // upstream, a forward lost at the gateway — extends its streak (the
-  // implicit missing end-to-end ACK a real mesh would observe).
-  // Hitting the threshold re-parents onto the smoothed-ETX-best
-  // candidate; the switch lands in the same failover stats the gateway
-  // machine feeds, which is how a gateway outage shows up as relay
-  // rerouting.
-  // `charge_link` marks losses the child's own hop bookkeeping has not
-  // already counted (anything past its transmission): they land as a
-  // failed attempt on the child's *current* link, so a dead upstream
-  // degrades the link's smoothed ETX even while the first hop itself
-  // keeps succeeding — otherwise re-parenting could never route around
-  // a gateway outage two hops away.
-  const auto charge_relay_failure = [&](std::uint32_t o,
-                                        std::uint64_t learn_slot,
-                                        bool charge_link) {
-    if (charge_link) ++etx_attempts[relay_topo_.link_offset(o) + parent_idx[o]];
-    if (relay_fail_streak[o] == 0) relay_streak_start[o] = learn_slot;
-    if (++relay_fail_streak[o] < config_.relay.reparent_fail_streak) return;
-    const auto cands = relay_topo_.candidates(o);
-    const std::size_t off = relay_topo_.link_offset(o);
-    std::size_t best = parent_idx[o];
-    double best_etx = std::numeric_limits<double>::infinity();
-    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-      const double etx = static_cast<double>(etx_attempts[off + ci] + 1) /
-                         static_cast<double>(etx_success[off + ci] + 1);
-      if (etx < best_etx) {
-        best_etx = etx;
-        best = ci;
-      }
-    }
-    if (best != parent_idx[o]) {
-      parent_idx[o] = static_cast<std::uint32_t>(best);
-      ++res.failovers;
-      res.time_to_failover_slots.add(
-          static_cast<double>(learn_slot - relay_streak_start[o] + 1));
-    }
-    relay_fail_streak[o] = 0;
-  };
-
-  // Resolves a relay child's completed frame against its current parent
-  // link: the hop delivers iff the frame stayed clean on air and the
-  // tag-tag envelope swing clears the analytic margin floor — one rule
-  // in every fidelity mode, since no sample-level receiver exists at a
-  // tag. A delivered hop lands the frame in the parent's forwarding
-  // queue; the parent re-reflects it in its own slotframe cell.
-  const double hop_noise_sigma = std::sqrt(config_.noise_power_w() / 2.0);
-  const auto resolve_hop = [&](std::size_t k, std::uint64_t learn_slot,
-                               bool update_mac) {
-    TagRt& tag = rt[k];
-    const std::size_t off = relay_topo_.link_offset(k);
-    const std::size_t ci = parent_idx[k];
-    const std::uint32_t parent = relay_topo_.candidates(k)[ci];
-    ++etx_attempts[off + ci];
-    const double margin = analytic_margin_db(
-        ch.delta_tt[off + ci], 0.0, hop_noise_sigma, rates.samples_per_chip,
-        fleet.analytic_target_ber);
-    const bool success =
-        !tag.overlapped && margin >= config_.relay.min_margin_db;
-    if (update_mac) policy_->on_outcome(k, success, tag.mac);
-    const std::uint32_t originator =
-        tag.forwarding ? tag.fwd_originator : static_cast<std::uint32_t>(k);
-    if (success) {
-      ++etx_success[off + ci];
-      if (relay_queue[parent].size() < config_.relay.queue_capacity) {
-        relay_queue[parent].push_back(
-            {originator, tag.forwarding ? tag.fwd_hops + 1 : 1, tag.payload});
-        ++res.relay_rx_frames;
-        res.useful_slots += frame_slots_;
-      } else {
-        ++res.relay_drops;
-        charge_relay_failure(originator, learn_slot, /*charge_link=*/true);
-      }
-      return;
-    }
-    if (tag.forwarding) {
-      ++res.relay_drops;
-      charge_relay_failure(originator, learn_slot, /*charge_link=*/true);
-      return;
-    }
-    if (tag.overlapped) {
-      ++res.tags[k].frames_collided;
-      ++res.collisions;
-      res.detect_latency_slots.add(
-          static_cast<double>(learn_slot - tag.overlap_start + 1));
+  /// Resolves tag k's completed frame, learned by the transmitter at
+  /// `learn_slot`: a relay child's hop through the fabric, anything else
+  /// at the gateways. Also the stage-timing boundary for verdicts
+  /// (escalation time is carved out inside escalate).
+  void resolve_frame(std::size_t k, std::uint64_t learn_slot,
+                     bool update_mac) {
+    const auto t0 = stages ? Clock::now() : Clock::time_point{};
+    if (relay.routes(k)) {
+      resolve_hop(k, learn_slot, update_mac);
     } else {
-      ++res.sync_failures;
+      resolve_verdict(k, learn_slot, update_mac);
     }
-    // The failed hop was already recorded on the link above.
-    charge_relay_failure(originator, learn_slot, /*charge_link=*/false);
-  };
+    if (stages) verdict_acc += seconds_since(t0);
+  }
 
-  // Escalated resolution of one contested frame (kHybrid): re-run the
-  // real sample-level chain, but only over this frame's decode window,
-  // only at the contested gateways, and only folding in-range logged
-  // frames. One warm-up slot ahead of the window settles the fresh RC
-  // envelope state (the RC time constant is a fraction of a chip).
-  const auto escalate_frame = [&](std::size_t k) {
-    const auto esc_t0 = timed ? Clock::now() : Clock::time_point{};
-    const TagRt& tag = rt[k];
-    const std::size_t lo =
-        static_cast<std::size_t>(tag.start_slot) * slot_samples_;
-    const std::size_t hi = std::min(total, lo + burst_samples_ + tail_samples);
-    const std::uint64_t w0_slot = tag.start_slot > 0 ? tag.start_slot - 1 : 0;
-    const std::size_t hi_slot =
-        std::min(slots, (hi + slot_samples_ - 1) / slot_samples_);
-    const std::size_t w0 = static_cast<std::size_t>(w0_slot) * slot_samples_;
-    const std::size_t win_samples = hi_slot * slot_samples_ - w0;
-    assert(win_samples <= esc_win.size());
-    ensure_ambient(hi_slot * slot_samples_);
+  /// A relay child's frame is judged at its parent tag by the analytic
+  /// envelope-swing margin of the hop link, in every fidelity mode —
+  /// no sample-level receiver exists at a tag.
+  [[gnu::noinline]] void resolve_hop(std::size_t k, std::uint64_t learn_slot,
+                                     bool update_mac) {
+    TagRt& tag = rt[k];
+    const double margin = analytic_margin_db(
+        ch.delta_tt[relay.link(k)], 0.0, std::sqrt(cfg.noise_power_w() / 2.0),
+        cfg.modem.data.rates.samples_per_chip, cfg.fleet.analytic_target_ber);
+    QueuedFrame frame{tag.forwarding ? tag.fwd_originator
+                                     : static_cast<std::uint32_t>(k),
+                      tag.forwarding ? tag.fwd_hops + 1 : 1, tag.payload};
+    const bool delivered = relay.resolve_hop(
+        k, !tag.overlapped, margin, std::move(frame), learn_slot, res);
+    if (update_mac) sim.policy_->on_outcome(k, delivered, tag.mac);
+    if (!delivered) fail_frame(k, learn_slot, Loss::kVerdict);
+  }
 
-    // Contested gateways are tried best-margin-first and the loop exits
-    // on the first decode: under any-gateway combining one decode
-    // already settles delivery, so the remaining (weaker) gateways'
-    // windows never need synthesizing. Delivery verdicts are identical
-    // to the exhaustive sweep; only the per-gateway decode tallies stop
-    // accruing once the frame is resolved.
-    esc_order.clear();
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      if (gw_verdict[g] == LinkVerdict::kContested) esc_order.push_back(g);
-    }
-    std::sort(esc_order.begin(), esc_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return gw_margin[a] != gw_margin[b]
-                           ? gw_margin[a] > gw_margin[b]
-                           : a < b;
-              });
-
-    bool any_decoded = false;
-    bool serving_decoded = false;
-    for (const std::size_t g : esc_order) {
-      const core::FdRxResult* rp = nullptr;
-      for (const EscDemod& e : esc_demod) {
-        if (e.g == g && e.start == tag.start_slot) {
-          // A cluster peer already demodulated this exact window: every
-          // slot of it is built (the memo is stored only after a full
-          // build), so skipping the rebuild consumes no RNG and changes
-          // no accounting.
-          rp = &e.r;
-          break;
-        }
-      }
-      if (rp == nullptr) {
-        for (std::size_t s = w0_slot; s < hi_slot; ++s) {
-          cf32* const slot_p = esc_slot_ptr(g, s);
-          if (!esc_built[g * slots + s]) {
-            esc_built[g * slots + s] = 1;
-            ++res.gateway_slots_synthesized;
-            const auto carrier = slot_carrier(s * slot_samples_);
-            const auto out = std::span<cf32>(slot_p, slot_samples_);
-            // Gather the in-range on-air entities of this slot (mask
-            // views into the zero-padded modulated frames plus their
-            // coupling pair at this gateway), then run the fused slot
-            // kernel once.
-            std::size_t n_ent = 0;
-            for (std::uint32_t idx = slot_frames_off[s];
-                 idx < slot_frames_off[s + 1]; ++idx) {
-              FrameLog& fl = frame_log[slot_frames[idx]];
-              if (!in_range_[fl.tag * n_gw + g]) continue;
-              if (fl.states.empty()) {
-                fl.states = tx_.modulate(fl.payload);
-                // Zero-pad to whole slots: state 0 is absorb, which is
-                // exactly the "frame ended mid-slot" semantics.
-                fl.states.resize(frame_slots_ * slot_samples_, 0);
-                if (has_faults) {
-                  apply_tag_fault_states(fl.tag, fl.start_slot, fl.states);
-                }
-              }
-              mask_ptrs[n_ent] =
-                  fl.states.data() +
-                  static_cast<std::size_t>(s - fl.start_slot) *
-                      slot_samples_;
-              slot_on[n_ent] = ch.coup_on[fl.tag * n_gw + g];
-              slot_off[n_ent] = ch.coup_off[fl.tag * n_gw + g];
-              ++n_ent;
-            }
-            WaveformSynthesizer::synthesize_slot_gateway(
-                carrier, ch.h_sr[g],
-                std::span<const std::uint8_t* const>(mask_ptrs.data(),
-                                                     n_ent),
-                std::span<const cf32>(slot_on.data(), n_ent),
-                std::span<const cf32>(slot_off.data(), n_ent),
-                coeff_scratch, out);
-            if (has_faults) apply_slot_faults(g, s, out);
-            noise[g].process(out, out);
-          }
-          // The decode window may straddle chunk boundaries: gather it
-          // into contiguous scratch (identical sample values — the
-          // envelope/demod stages see exactly the bits the monolithic
-          // cache produced).
-          std::memcpy(esc_win.data() + (s - w0_slot) * slot_samples_,
-                      slot_p, slot_samples_ * sizeof(cf32));
-        }
-        dsp::EnvelopeDetector env = synth_.make_envelope();
-        const auto env_out = esc_env.subspan(0, win_samples);
-        env.process(std::span<const cf32>(esc_win.data(), win_samples),
-                    env_out);
-        if (fleet.record_frames) fold_digest(res.envelope_digest[g], env_out);
-        esc_demod.push_back(
-            {static_cast<std::uint32_t>(g), tag.start_slot,
-             rx_.demodulate(
-                 std::span<const float>(env_out).subspan(lo - w0, hi - lo),
-                 {}, config_.payload_bytes)});
-        rp = &esc_demod.back().r;
-      }
-      const core::FdRxResult& r = *rp;
-      const bool decoded = r.status != Status::kSyncNotFound &&
-                           r.blocks.blocks_failed == 0 &&
-                           r.blocks.payload == tag.payload;
-      if (decoded) {
-        ++res.gateway_decodes[g];
-        any_decoded = true;
-        if (g == serving_now[k]) serving_decoded = true;
-        if (config_.combining == GatewayCombining::kAnyGateway ||
-            g == serving_now[k]) {
-          break;
-        }
-      }
-    }
-    if (timed) {
-      esc_acc +=
-          std::chrono::duration<double>(Clock::now() - esc_t0).count();
-    }
-    return config_.combining == GatewayCombining::kAnyGateway
-               ? any_decoded
-               : serving_decoded;
-  };
-
-  // Resolves tag k's completed frame and applies the combining policy
-  // to stats + MAC state. kWaveform decodes every gateway's envelope
-  // history; the fleet modes classify analytically and (kHybrid)
-  // escalate contested frames back to synthesis. `learn_slot` is when
-  // the transmitter hears the outcome (for the latency metric).
-  const auto resolve_verdict = [&](std::size_t k, std::uint64_t learn_slot,
-                                   bool update_mac) {
+  /// Resolves tag k's frame at the gateways and applies the combining
+  /// policy to stats and MAC state. kWaveform decodes every gateway's
+  /// envelope history; the fleet modes classify analytically and
+  /// (kHybrid) escalate contested frames back to synthesis.
+  void resolve_verdict(std::size_t k, std::uint64_t learn_slot,
+                       bool update_mac) {
     TagRt& tag = rt[k];
     const bool fwd = relay_on && tag.forwarding;
     bool delivered = false;
@@ -1437,76 +1522,66 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     double best_margin = -std::numeric_limits<double>::infinity();
 
     // The transmitting tag's own hardware fault this frame, if any:
-    // stuck frames and drift-shifted frames force kContested in every
+    // stuck and drift-shifted frames force kContested in every
     // classifying mode (only synthesis — which rewrites the faulted
     // states — can judge a corrupted burst; forcing the band keeps the
     // clear-verdict agreement contract intact under faults).
     bool own_stuck = false;
     std::size_t own_shift = 0;
+    const std::uint64_t lo = tag.start_slot;
     if (has_faults) {
+      const auto k32 = static_cast<std::uint32_t>(k);
       own_stuck = fplan.stuck_in_window(
-          static_cast<std::uint32_t>(k),
-          static_cast<std::int64_t>(tag.start_slot),
-          static_cast<std::int64_t>(tag.start_slot + frame_slots_));
-      own_shift = fplan.drift_shift_samples(
-          static_cast<std::uint32_t>(k),
-          static_cast<std::int64_t>(tag.start_slot));
+          k32, static_cast<std::int64_t>(lo),
+          static_cast<std::int64_t>(lo + frame_slots));
+      own_shift = fplan.drift_shift_samples(k32, static_cast<std::int64_t>(lo));
     }
-    const bool own_fault = own_stuck || own_shift > 0;
 
     if (analytic_on) {
       // Per-gateway one-sided-safe verdicts over the gateway set the
-      // combining policy listens to (kBestGateway: serving only).
+      // combining policy listens to.
       bool any_deliver = false;
       bool any_contested = false;
-      std::size_t best_g = serving_now[k];
+      std::size_t best_g = failover.serving(k);
       for (std::size_t g = 0; g < n_gw; ++g) {
-        const bool relevant =
-            config_.combining == GatewayCombining::kAnyGateway ||
-            g == serving_now[k];
-        if (!relevant) {
+        if (!failover.listens(k, g)) {
           gw_verdict[g] = LinkVerdict::kClearFail;
           gw_margin[g] = -std::numeric_limits<double>::infinity();
           continue;
         }
         const double d = ch.delta[k * n_gw + g];
         const double interf = worst_interference(k, g);
-        double margin;
         if (has_faults) {
-          // The fault schedule scales the frame's envelope swing slot
-          // by slot; the split-band classifier charges the pessimistic
-          // arm the window minimum and grants the optimistic arm the
-          // window maximum — the same one-sided-safe bracketing the
-          // margin band already provides for interference.
-          const double scale_min = fplan.min_signal_scale(
-              g, tag.start_slot, tag.start_slot + frame_slots_);
-          const double scale_max = fplan.max_signal_scale(
-              g, tag.start_slot, tag.start_slot + frame_slots_);
-          gw_verdict[g] = resolver_.classify(d * scale_min, d * scale_max,
-                                             interf);
-          margin = resolver_.margin_db(d * scale_min, interf);
-          if (own_fault) gw_verdict[g] = LinkVerdict::kContested;
+          // The fault schedule scales the frame's swing slot by slot;
+          // the pessimistic arm gets the window minimum and the
+          // optimistic arm the window maximum — the same one-sided-safe
+          // bracketing the margin band provides for interference.
+          const double s_min = fplan.min_signal_scale(g, lo, lo + frame_slots);
+          const double s_max = fplan.max_signal_scale(g, lo, lo + frame_slots);
+          gw_verdict[g] = sim.resolver_.classify(d * s_min, d * s_max, interf);
+          gw_margin[g] = sim.resolver_.margin_db(d * s_min, interf);
+          if (own_stuck || own_shift > 0) {
+            gw_verdict[g] = LinkVerdict::kContested;
+          }
         } else {
-          gw_verdict[g] = resolver_.classify(d, interf);
-          margin = resolver_.margin_db(d, interf);
+          gw_verdict[g] = sim.resolver_.classify(d, interf);
+          gw_margin[g] = sim.resolver_.margin_db(d, interf);
         }
         if (fwd && gw_verdict[g] == LinkVerdict::kClearDeliver) {
           // Relayed delivery is never claimed from the margin band
-          // alone (one-sided-safe): force the contested band so kHybrid
-          // escalates to synthesis and kAnalytic point-estimates.
+          // alone: kHybrid escalates it, kAnalytic point-estimates.
           gw_verdict[g] = LinkVerdict::kContested;
         }
-        gw_margin[g] = margin;
-        if (margin > best_margin) {
-          best_margin = margin;
+        if (gw_margin[g] > best_margin) {
+          best_margin = gw_margin[g];
           best_g = g;
         }
         any_deliver |= gw_verdict[g] == LinkVerdict::kClearDeliver;
         any_contested |= gw_verdict[g] == LinkVerdict::kContested;
       }
-      combined = any_deliver      ? LinkVerdict::kClearDeliver
-                 : any_contested  ? LinkVerdict::kContested
-                                  : LinkVerdict::kClearFail;
+      combined = any_deliver     ? LinkVerdict::kClearDeliver
+                 : any_contested ? LinkVerdict::kContested
+                                 : LinkVerdict::kClearFail;
 
       if (!waveform_all) {
         switch (combined) {
@@ -1522,488 +1597,259 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
             break;
           case LinkVerdict::kContested:
             if (hybrid) {
-              delivered = escalate_frame(k);
+              delivered = escalate(k);
               escalated = true;
-            } else if (own_stuck) {
-              // Pure analytic mode, jammed switch: no modulation ever
-              // reached the air during the fault window — fail.
-              delivered = false;
-            } else if (own_shift > 0) {
-              // Drifted burst: delivered iff the margin holds AND the
-              // accumulated skew still fits the decode window's tail.
+            } else if (!own_stuck) {
+              // Point estimate at the band centre; a jammed switch put
+              // no modulation on the air at all, and a drifted burst
+              // must still fit the decode window's tail.
               delivered = best_margin >= 0.0 && own_shift <= tail_samples;
-              if (delivered) ++res.gateway_decodes[best_g];
-            } else {
-              // Point estimate at the band centre.
-              delivered = best_margin >= 0.0;
               if (delivered) ++res.gateway_decodes[best_g];
             }
             break;
         }
-        if (escalated) {
-          ++res.frames_escalated;
-        } else {
-          ++res.frames_resolved_analytic;
-        }
-        if (culled_[k]) ++res.frames_culled;
+        ++(escalated ? res.frames_escalated : res.frames_resolved_analytic);
+        if (sim.culled_[k]) ++res.frames_culled;
       }
     }
+    if (waveform_all) delivered = decode_waveform(k);
 
-    if (waveform_all) {
-      const std::size_t lo =
-          static_cast<std::size_t>(tag.start_slot) * slot_samples_;
-      const std::size_t hi =
-          std::min(total, lo + burst_samples_ + tail_samples);
-      bool any_decoded = false;
-      bool serving_decoded = false;
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        const auto history =
-            std::span<const float>(env_buf).subspan(g * total, total);
-        const core::FdRxResult r = rx_.demodulate(
-            history.subspan(lo, hi - lo), {}, config_.payload_bytes);
-        const bool decoded = r.status != Status::kSyncNotFound &&
-                             r.blocks.blocks_failed == 0 &&
-                             r.blocks.payload == tag.payload;
-        if (decoded) {
-          ++res.gateway_decodes[g];
-          any_decoded = true;
-          if (g == serving_now[k]) serving_decoded = true;
-        }
-      }
-      delivered = config_.combining == GatewayCombining::kAnyGateway
-                      ? any_decoded
-                      : serving_decoded;
-    }
-
-    if (fleet.record_frames) {
+    if (cfg.fleet.record_frames) {
       res.frames.push_back({static_cast<std::uint32_t>(k), tag.start_slot,
                             tag.overlapped, combined, best_margin, delivered,
                             escalated});
     }
     if (has_faults) classify_fault_loss(k, delivered);
     if (update_mac) {
-      if (!fwd) note_frame_outcome(k, delivered, learn_slot);
-      policy_->on_outcome(k, delivered, tag.mac);
+      if (!fwd) failover.note(k, delivered, tag.start_slot, learn_slot, res);
+      sim.policy_->on_outcome(k, delivered, tag.mac);
     }
-    if (fwd) {
-      // A forward's outcome belongs to the originator; the relay's own
-      // per-tag counters stay untouched (delivered + collided <=
-      // attempted must keep holding per tag).
-      if (delivered) {
-        ++res.tags[tag.fwd_originator].frames_delivered;
-        res.tags[tag.fwd_originator].payload_bits_delivered +=
-            config_.payload_bytes * 8;
-        ++res.relayed_delivered;
-        res.relay_hops.add(static_cast<double>(tag.fwd_hops + 1));
-        res.useful_slots += frame_slots_;
-        relay_fail_streak[tag.fwd_originator] = 0;
-      } else {
-        ++res.relay_drops;
-        charge_relay_failure(tag.fwd_originator, learn_slot,
-                             /*charge_link=*/true);
-      }
-    } else if (delivered) {
-      ++res.tags[k].frames_delivered;
-      res.tags[k].payload_bits_delivered += config_.payload_bytes * 8;
-      res.useful_slots += frame_slots_;
+    if (delivered) {
+      deliver_frame(k);
     } else {
-      if (tag.overlapped) {
-        ++res.tags[k].frames_collided;
-        ++res.collisions;
-        res.detect_latency_slots.add(
-            static_cast<double>(learn_slot - tag.overlap_start + 1));
-      } else {
-        ++res.sync_failures;
+      fail_frame(k, learn_slot, Loss::kVerdict);
+    }
+  }
+
+  /// Trial-sample bounds [lo, hi) of tag k's decode window.
+  std::pair<std::size_t, std::size_t> decode_window(std::size_t k) const {
+    const std::size_t lo =
+        static_cast<std::size_t>(rt[k].start_slot) * slot_samples;
+    return {lo, std::min(total, lo + sim.burst_samples_ + tail_samples)};
+  }
+
+  /// The per-gateway decode check: counts a decode of tag k's frame at
+  /// gateway g and returns whether it delivers the frame under the
+  /// combining rule (any gateway, or the serving one).
+  bool decoded_at(std::size_t k, std::size_t g, const core::FdRxResult& r) {
+    const bool ok = r.status != Status::kSyncNotFound &&
+                    r.blocks.blocks_failed == 0 &&
+                    r.blocks.payload == rt[k].payload;
+    if (ok) ++res.gateway_decodes[g];
+    return ok && failover.listens(k, g);
+  }
+
+  /// kWaveform: decodes tag k's window from every gateway's history.
+  [[gnu::noinline]] bool decode_waveform(std::size_t k) {
+    const auto [lo, hi] = decode_window(k);
+    bool delivered = false;
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      const auto window =
+          std::span<const float>(env_buf).subspan(g * total + lo, hi - lo);
+      if (decoded_at(k, g, sim.rx_.demodulate(window, {}, cfg.payload_bytes))) {
+        delivered = true;
       }
     }
-  };
+    return delivered;
+  }
 
-  // Verdict dispatch shared by Phase D and the trial-end drain; also
-  // the stage-timing boundary for verdict resolution (escalation time
-  // is carved out separately inside escalate_frame).
-  const auto resolve_frame = [&](std::size_t k, std::uint64_t learn_slot,
-                                 bool update_mac) {
-    const auto t0 = timed ? Clock::now() : Clock::time_point{};
-    if (relay_on && relay_topo_.reachable(k) && relay_topo_.level(k) >= 1) {
-      resolve_hop(k, learn_slot, update_mac);
-    } else {
-      resolve_verdict(k, learn_slot, update_mac);
-    }
-    if (timed) {
-      verdict_acc +=
-          std::chrono::duration<double>(Clock::now() - t0).count();
-    }
-  };
+  // --- Hybrid escalator --------------------------------------------------
 
-  // Frame start: identical bookkeeping (and Rng draw sequence) in both
-  // engines — only *when* it runs differs (bucket fire vs countdown).
-  const auto start_frame = [&](std::size_t k, std::uint64_t slot) {
-    TagRt& tag = rt[k];
-    tag.st = TagRt::St::kTx;
-    tag.progress = 0;
-    tag.start_slot = slot;
-    tag.overlapped = false;
-    tag.forwarding = relay_on && !relay_queue[k].empty();
-    if (tag.forwarding) {
-      // Forwarding outranks fresh traffic — the queued frame is
-      // older. No payload draw: the scheduled MAC never touches the
-      // trial Rng either, so the draw sequence is a pure function
-      // of the queue evolution (mode-dependent only where gateway
-      // verdicts are; relaying's cross-fidelity contract is
-      // statistical, not draw-exact).
-      QueuedFrame f = std::move(relay_queue[k].front());
-      relay_queue[k].erase(relay_queue[k].begin());
-      tag.fwd_originator = f.originator;
-      tag.fwd_hops = f.hops;
-      tag.payload = std::move(f.payload);
-      ++res.relay_tx_frames;
-    } else {
-      ++res.tags[k].frames_attempted;
-      tag.payload.resize(config_.payload_bytes);
-      for (auto& byte : tag.payload) {
-        byte = static_cast<std::uint8_t>(rng.uniform_int(256));
+  /// Hybrid slot index: the logged frames on air in `slot`.
+  void index_slot(std::uint64_t slot) {
+    for (const std::size_t k : active) {
+      esc.slot_frames.push_back(rt[k].frame_id);
+    }
+    esc.slot_frames_off[slot + 1] =
+        static_cast<std::uint32_t>(esc.slot_frames.size());
+  }
+
+  /// Gateway g's slot s in the escalation cache, built on first touch
+  /// from the in-range logged frames on air in it.
+  cf32* escalation_slot(std::size_t g, std::size_t s) {
+    constexpr std::size_t kChunk = Escalator::kChunkSlots;
+    cf32*& chunk = esc.chunks[g * esc.chunks_per_gw + s / kChunk];
+    if (chunk == nullptr) {
+      chunk = arena.alloc<cf32>(kChunk * slot_samples).data();
+    }
+    cf32* const slot_p = chunk + (s % kChunk) * slot_samples;
+    if (esc.built[g * slots + s]) return slot_p;
+    esc.built[g * slots + s] = 1;
+    ++res.gateway_slots_synthesized;
+    std::size_t n_ent = 0;
+    for (std::uint32_t idx = esc.slot_frames_off[s];
+         idx < esc.slot_frames_off[s + 1]; ++idx) {
+      FrameLog& fl = esc.frame_log[esc.slot_frames[idx]];
+      if (!sim.in_range_[fl.tag * n_gw + g]) continue;
+      if (fl.states.empty()) {
+        fl.states = frame_states(fl.tag, fl.start_slot, fl.payload);
+      }
+      mask_ptrs[n_ent] = fl.states.data() +
+                         static_cast<std::size_t>(s - fl.start_slot) *
+                             slot_samples;
+      slot_on[n_ent] = ch.coup_on[fl.tag * n_gw + g];
+      slot_off[n_ent] = ch.coup_off[fl.tag * n_gw + g];
+      ++n_ent;
+    }
+    synth_gateway_slot(g, s, n_ent, std::span<cf32>(slot_p, slot_samples));
+    return slot_p;
+  }
+
+  /// Escalated resolution of one contested frame (kHybrid): re-run the
+  /// sample-level chain over this frame's decode window only, at the
+  /// contested gateways only, folding in-range logged frames only. One
+  /// warm-up slot ahead of the window settles the fresh RC envelope
+  /// state (the RC time constant is a fraction of a chip). Contested
+  /// gateways are tried best-margin-first and the loop exits on the
+  /// first delivering decode, so the remaining (weaker) gateways'
+  /// windows never need synthesizing: verdicts equal the exhaustive
+  /// sweep's, only the per-gateway decode tallies stop accruing.
+  [[gnu::noinline]] bool escalate(std::size_t k) {
+    const auto esc_t0 = stages ? Clock::now() : Clock::time_point{};
+    const std::uint64_t start = rt[k].start_slot;
+    const auto [lo, hi] = decode_window(k);
+    const std::uint64_t w0_slot = start > 0 ? start - 1 : 0;
+    const std::size_t hi_slot =
+        std::min(slots, (hi + slot_samples - 1) / slot_samples);
+    const std::size_t w0 = static_cast<std::size_t>(w0_slot) * slot_samples;
+    const std::size_t win_samples = hi_slot * slot_samples - w0;
+    assert(win_samples <= esc.win.size());
+    ensure_ambient(hi_slot * slot_samples);
+
+    esc.order.clear();
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      if (gw_verdict[g] == LinkVerdict::kContested) esc.order.push_back(g);
+    }
+    std::sort(esc.order.begin(), esc.order.end(),
+              [&](std::size_t a, std::size_t b) {
+                return gw_margin[a] != gw_margin[b]
+                           ? gw_margin[a] > gw_margin[b]
+                           : a < b;
+              });
+    bool delivered = false;
+    for (const std::size_t g : esc.order) {
+      // A cluster peer that already demodulated this exact window built
+      // every slot of it first, so reusing its result consumes no RNG
+      // and changes no accounting.
+      const core::FdRxResult* rp = nullptr;
+      for (const auto& e : esc.demod) {
+        if (e.g == g && e.start == start) {
+          rp = &e.r;
+          break;
+        }
+      }
+      if (rp == nullptr) {
+        for (std::size_t s = w0_slot; s < hi_slot; ++s) {
+          std::memcpy(esc.win.data() + (s - w0_slot) * slot_samples,
+                      escalation_slot(g, s), slot_samples * sizeof(cf32));
+        }
+        dsp::EnvelopeDetector env = sim.synth_.make_envelope();
+        const auto env_out = esc.env.subspan(0, win_samples);
+        env.process(std::span<const cf32>(esc.win.data(), win_samples),
+                    env_out);
+        if (cfg.fleet.record_frames) {
+          fold_digest(res.envelope_digest[g], env_out);
+        }
+        esc.demod.push_back(
+            {static_cast<std::uint32_t>(g), start,
+             sim.rx_.demodulate(
+                 std::span<const float>(env_out).subspan(lo - w0, hi - lo),
+                 {}, cfg.payload_bytes)});
+        rp = &esc.demod.back().r;
+      }
+      if (decoded_at(k, g, *rp)) {
+        delivered = true;
+        break;
       }
     }
-    // Antenna states are only modulated where samples are needed:
-    // per-slot synthesis (kWaveform) now, escalated windows
-    // (kHybrid) lazily from the frame log, never in kAnalytic.
-    if (waveform_all) {
-      tag.states = tx_.modulate(tag.payload);
-      // Zero-pad to whole slots (0 = absorb): every slot of the
-      // frame is then a plain pointer view for the slot kernel.
-      tag.states.resize(frame_slots_ * slot_samples_, 0);
-      if (has_faults) {
-        apply_tag_fault_states(static_cast<std::uint32_t>(k), slot,
-                               tag.states);
-      }
-    } else if (hybrid) {
-      tag.frame_id = static_cast<std::uint32_t>(frame_log.size());
-      frame_log.push_back({static_cast<std::uint32_t>(k), slot,
-                           tag.payload, {}});
-    }
-  };
+    if (stages) esc_acc += seconds_since(esc_t0);
+    return delivered;
+  }
+};
 
-  const auto t_loop = timed ? Clock::now() : Clock::time_point{};
-  if (timed) {
-    stages->setup_s +=
-        std::chrono::duration<double>(t_loop - t_entry).count();
+template <bool ActiveSet>
+NetworkTrialResult NetworkSimulator::run_trial_impl(
+    std::uint64_t trial_index, SynthArena& arena,
+    TrialStageTimes* stages) const {
+  const auto t_entry = stages ? Clock::now() : Clock::time_point{};
+  arena.reset();
+  Trial<ActiveSet> t(*this, trial_index, arena, stages);
+  const std::size_t n_tags = t.n_tags;
+  const std::size_t slots = t.slots;
+  std::vector<TagRt>& rt = t.rt;
+  std::vector<std::size_t>& active = t.active;
+  const auto t_loop = stages ? Clock::now() : Clock::time_point{};
+  if (stages) {
+    stages->setup_s += std::chrono::duration<double>(t_loop - t_entry).count();
   }
 
   for (std::uint64_t slot = 0; slot < slots; ++slot) {
     // --- Phase A: backoff expiries; frame starts (energy-gated) -------
     if constexpr (ActiveSet) {
-      std::size_t n_fired = 0;
-      for (std::uint32_t t = headA[slot]; t != kNilTag; t = bucket_next[t]) {
-        fired[n_fired++] = t;
-      }
-      headA[slot] = kNilTag;
-      std::sort(fired.begin(), fired.begin() + n_fired);
-      for (std::size_t i = 0; i < n_fired; ++i) {
-        const std::size_t k = fired[i];
-        TagRt& tag = rt[k];
-        // Frames that cannot fully resolve inside the trial are not
-        // started: the tag parks (it is simply never rescheduled).
-        if (slot + frame_slots_ + 2 > slots) {
-          tag.counter = slots;
-          continue;
-        }
-        ff_idle(k, slot);  // gating reads storage: bring it current
-        if (config_.energy_gating &&
-            tag.storage.level_j() < frame_cost_j_) {
-          ++res.tags[k].energy_outages;
-          redraw_wait(k, slot);
-          continue;
-        }
-        start_frame(k, slot);
-        active.insert(std::lower_bound(active.begin(), active.end(), k),
-                      k);
-        if (analytic_on) {
-          // Fresh frame: reset this tag's per-gateway window maxima.
-          std::fill_n(i_max.begin() + k * n_gw, n_gw, 0.0f);
-        }
-      }
+      for (const std::uint32_t k : t.fire(t.headA, slot)) t.wake(k, slot);
     } else {
       for (std::size_t k = 0; k < n_tags; ++k) {
         TagRt& tag = rt[k];
         tag.wait_entered_now = false;
-        tag.brownout_now = false;
         if (tag.st != TagRt::St::kBackoff) continue;
-        if (tag.counter == 0 || --tag.counter == 0) {
-          // Frames that cannot fully resolve inside the trial are not
-          // started: park the tag so every attempt has a verdict.
-          if (slot + frame_slots_ + 2 > slots) {
-            tag.counter = slots;  // runs off the end of the trial
-            continue;
-          }
-          if (config_.energy_gating &&
-              tag.storage.level_j() < frame_cost_j_) {
-            ++res.tags[k].energy_outages;
-            redraw_wait(k, slot);
-            continue;
-          }
-          start_frame(k, slot);
-        }
+        if (tag.counter == 0 || --tag.counter == 0) t.wake(k, slot);
       }
     }
 
     // --- Phase B: channel synthesis + energy accounting ---------------
-    if constexpr (ActiveSet) {
-      // `active` is maintained incrementally (sorted inserts in Phase
-      // A, compaction in Phase C) and `n_waiting` counts WaitVerdict
-      // residents — no per-slot O(n_tags) scan.
-      if (!active.empty()) {
-        ++res.busy_slots;
-      } else if (n_waiting > 0) {
-        ++idle_wait_slots;
-      }
-    } else {
+    // The active engine keeps `active` incrementally (sorted inserts in
+    // Phase A, compaction in Phase C) and counts WaitVerdict residents;
+    // the reference rebuilds both by scanning every tag.
+    bool any_waiting = t.n_waiting > 0;
+    if constexpr (!ActiveSet) {
       active.clear();
-      bool any_waiting = false;
+      any_waiting = false;
       for (std::size_t k = 0; k < n_tags; ++k) {
         if (rt[k].st == TagRt::St::kTx) active.push_back(k);
         if (rt[k].st == TagRt::St::kWaitVerdict) any_waiting = true;
       }
-      if (!active.empty()) {
-        ++res.busy_slots;
-      } else if (any_waiting) {
-        ++idle_wait_slots;  // dead air while timers / verdict drains run
-      }
     }
-
-    // Slot synthesis is one pass across entities, not per link: stage 1
-    // resolves every active tag's per-sample mask block for this slot
-    // once (shared by all gateways — the zero-padded modulated frames
-    // make each block a plain pointer view); stage 2 runs the fused
-    // per-gateway kernel, which sums the selected coupling coefficients
-    // (h_tag->gw * Gamma(state) * h_ambient->tag, from the per-trial
-    // tables) and multiplies the carrier in once, then the gateway's
-    // AWGN fork and RC envelope state. The fleet modes skip this
-    // entirely: the analytic path below tracks the interference sums
-    // instead, and kHybrid re-synthesizes only the windows its
-    // contested frames demand.
-    if (waveform_all) {
-      const std::size_t base = static_cast<std::size_t>(slot) * slot_samples_;
-      const auto carrier = slot_carrier(base);
-      for (std::size_t e = 0; e < active.size(); ++e) {
-        const TagRt& tag = rt[active[e]];
-        mask_ptrs[e] =
-            tag.states.data() +
-            static_cast<std::size_t>(slot - tag.start_slot) * slot_samples_;
-      }
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        for (std::size_t e = 0; e < active.size(); ++e) {
-          slot_on[e] = ch.coup_on[active[e] * n_gw + g];
-          slot_off[e] = ch.coup_off[active[e] * n_gw + g];
-        }
-        const auto gw_slot = rx_slot.subspan(g * slot_samples_, slot_samples_);
-        WaveformSynthesizer::synthesize_slot_gateway(
-            carrier, ch.h_sr[g],
-            std::span<const std::uint8_t* const>(mask_ptrs.data(),
-                                                 active.size()),
-            std::span<const cf32>(slot_on.data(), active.size()),
-            std::span<const cf32>(slot_off.data(), active.size()),
-            coeff_scratch, gw_slot);
-        if (has_faults) apply_slot_faults(g, slot, gw_slot);
-        noise[g].process(gw_slot, gw_slot);
-        envelopes[g].process(
-            gw_slot, env_buf.subspan(g * total + base, slot_samples_));
-      }
-      res.gateway_slots_synthesized += n_gw;
+    if (!active.empty()) {
+      ++t.res.busy_slots;
+    } else if (any_waiting) {
+      ++t.idle_wait_slots;  // dead air while timers / verdict drains run
     }
-    if (analytic_on) {
-      // Under faults the interference sum mirrors the synthesis
-      // transform exactly: active tags' half-swings scale with the
-      // carrier sag and the gateway attenuation, and burst-interferer
-      // envelopes arrive over the air (so they too pass the gateway's
-      // attenuation).
-      if constexpr (ActiveSet) {
-        // Segment-max: fold this slot's per-gateway sum once (the
-        // identical ascending-active fold the reference stores in
-        // i_sum) and max it into every active tag's running window
-        // maximum — `worst_interference` then reads the max directly
-        // instead of rescanning the frame window per (frame, gateway).
-        // Only slots with a tag on air matter: a resolved frame was
-        // active on every slot of its window, so its maxima cover
-        // exactly the slots the reference scan would.
-        if (!active.empty()) {
-          for (std::size_t g = 0; g < n_gw; ++g) {
-            float sum = 0.0f;
-            for (const std::size_t k : active) {
-              if (in_range_[k * n_gw + g]) sum += ch.half[k * n_gw + g];
-            }
-            if (has_faults) {
-              sum = sum * fplan.signal_scale(g, slot) +
-                    fplan.interferer_env(g, slot) *
-                        fplan.gateway_atten(g, slot);
-            }
-            for (const std::size_t k : active) {
-              float& m = i_max[k * n_gw + g];
-              if (sum > m) m = sum;
-            }
-          }
-        }
-      } else if (!active.empty() || has_faults) {
-        // Written every slot under faults, since an interferer raises
-        // the sum even with no tag on air.
-        for (std::size_t g = 0; g < n_gw; ++g) {
-          float sum = 0.0f;
-          for (const std::size_t k : active) {
-            if (in_range_[k * n_gw + g]) sum += ch.half[k * n_gw + g];
-          }
-          if (has_faults) {
-            sum = sum * fplan.signal_scale(g, slot) +
-                  fplan.interferer_env(g, slot) *
-                      fplan.gateway_atten(g, slot);
-          }
-          i_sum[g * slots + slot] = sum;
-        }
-      }
-    }
-    if (hybrid) {
-      for (const std::size_t k : active) {
-        if constexpr (ActiveSet) {
-          // Fully-culled tags are in range of no gateway: escalation
-          // skips them per-gateway anyway, so dropping them from the
-          // slot index changes no synthesized sample.
-          if (culled_[k]) continue;
-        }
-        slot_frames.push_back(rt[k].frame_id);
-      }
-      slot_frames_off[slot + 1] =
-          static_cast<std::uint32_t>(slot_frames.size());
-    }
-
+    // The fleet modes skip per-slot synthesis: the analytic path tracks
+    // interference sums instead, and kHybrid re-synthesizes only the
+    // windows its contested frames demand.
+    if (t.waveform_all) t.synthesize_slot(slot);
+    if (t.analytic_on) t.fold_interference(slot);
+    if (t.hybrid) t.index_slot(slot);
     if constexpr (ActiveSet) {
-      for (const std::size_t k : active) {
-        active_step(k);
-        e_next[k] = static_cast<std::uint32_t>(slot + 1);
-      }
+      for (const std::size_t k : active) t.energy.step(k, slot, true);
     } else {
       for (std::size_t k = 0; k < n_tags; ++k) {
-        if (rt[k].st == TagRt::St::kTx) {
-          active_step(k);
-        } else {
-          idle_step(k);
-        }
+        t.energy.step(k, slot, rt[k].st == TagRt::St::kTx);
       }
     }
 
     // --- Phase C: transmission progress, overlap, aborts, frame end ---
-    // The active engine compacts `active` in place: a tag that aborts
-    // or completes is dropped, everything else keeps its (ascending)
-    // position.
     const bool collision_now = active.size() >= 2;
-    [[maybe_unused]] std::size_t keep = 0;
-    const std::size_t n_active = active.size();
-    for (std::size_t ai = 0; ai < n_active; ++ai) {
-      const std::size_t k = active[ai];
-      TagRt& tag = rt[k];
-      ++tag.progress;
-      if (collision_now && !tag.overlapped) {
-        tag.overlapped = true;
-        tag.overlap_start = slot;
-      }
-      const bool brownout = tag.brownout_now;
-      if constexpr (ActiveSet) tag.brownout_now = false;
-      if (brownout) {
-        // Storage emptied under the switch drive: the frame dies on air.
-        if (relay_on && tag.forwarding) {
-          ++res.relay_drops;
-          charge_relay_failure(tag.fwd_originator, slot,
-                               /*charge_link=*/true);
-        } else {
-          ++res.tags[k].frames_aborted;
-          if (tag.overlapped) {
-            ++res.tags[k].frames_collided;
-            ++res.collisions;
-          }
-        }
-        if (has_faults) classify_fault_loss(k, /*delivered=*/false);
-        tag.st = TagRt::St::kBackoff;
-        redraw_wait(k, slot);
-        continue;
-      }
-      bool notified = false;
-      if (fd && tag.overlapped) {
-        if (!has_faults) {
-          notified = slot - tag.overlap_start + 1 >= notify_slots_[k];
-        } else {
-          // A gateway can only notify if it was alive to *detect* the
-          // overlap: an outage at the detection moment silences it, and
-          // the tag keeps burning the collided frame until a healthy
-          // gateway's (possibly slower) notification arrives — or the
-          // frame runs its full length. This is the failure mode the
-          // dead-gateway failover machine responds to.
-          for (std::size_t g = 0; g < n_gw; ++g) {
-            if (slot - tag.overlap_start + 1 < notify_pg_[k * n_gw + g]) {
-              continue;
-            }
-            if (!fplan.gateway_alive(g, tag.overlap_start)) continue;
-            notified = true;
-            break;
-          }
-        }
-      }
-      if (notified) {
-        // The earliest gateway's collision notification arrived
-        // (notify latency block-times after the overlap began, not
-        // after the frame started — mid-frame collision victims wait
-        // the full notification latency too): abort now.
-        if (relay_on && tag.forwarding) {
-          ++res.relay_drops;
-          charge_relay_failure(tag.fwd_originator, slot,
-                               /*charge_link=*/true);
-        } else {
-          ++res.tags[k].frames_aborted;
-          ++res.tags[k].frames_collided;
-          ++res.collisions;
-          res.detect_latency_slots.add(
-              static_cast<double>(slot - tag.overlap_start + 1));
-        }
-        if (has_faults) classify_fault_loss(k, /*delivered=*/false);
-        policy_->on_notify_abort(k, tag.mac);
-        tag.st = TagRt::St::kBackoff;
-        redraw_wait(k, slot);
-        continue;
-      }
-      if (tag.progress >= frame_slots_) {
-        // Frame fully on air. The policy decides the drain: one slot
-        // for the final block verdict (notify / scheduled), the ACK
-        // timeout for the timeout MAC.
-        tag.st = TagRt::St::kWaitVerdict;
-        tag.counter = policy_->verdict_wait_slots();
-        if constexpr (ActiveSet) {
-          // A wait-verdict counter c entered at slot s is skipped at s
-          // (wait_entered_now) and first examined at s + 1: it fires at
-          // s + max(c, 1).
-          schedule(headD, k,
-                   slot + std::max<std::uint64_t>(tag.counter, 1));
-          ++n_waiting;
-        } else {
-          tag.wait_entered_now = true;
-        }
-        continue;
-      }
-      if constexpr (ActiveSet) active[keep++] = k;
+    std::size_t keep = 0;  // compacts in place, keeping the order
+    for (const std::size_t k : active) {
+      if (t.advance(k, slot, collision_now)) active[keep++] = k;
     }
-    if constexpr (ActiveSet) {
-      active.resize(keep);
-    }
+    active.resize(keep);
 
-    // --- Phase D: verdict waits resolve against synthesized history ---
+    // --- Phase D: verdict waits resolve -------------------------------
     if constexpr (ActiveSet) {
-      std::size_t n_fired = 0;
-      for (std::uint32_t t = headD[slot]; t != kNilTag; t = bucket_next[t]) {
-        fired[n_fired++] = t;
-      }
-      headD[slot] = kNilTag;
-      std::sort(fired.begin(), fired.begin() + n_fired);
-      for (std::size_t i = 0; i < n_fired; ++i) {
-        const std::size_t k = fired[i];
-        resolve_frame(k, slot, /*update_mac=*/true);
-        rt[k].st = TagRt::St::kBackoff;
-        --n_waiting;
-        redraw_wait(k, slot);
+      for (const std::uint32_t k : t.fire(t.headD, slot)) {
+        t.finish_wait(k, slot);
       }
     } else {
       for (std::size_t k = 0; k < n_tags; ++k) {
@@ -2011,61 +1857,11 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
         if (tag.st != TagRt::St::kWaitVerdict || tag.wait_entered_now) {
           continue;
         }
-        if (tag.counter == 0 || --tag.counter == 0) {
-          resolve_frame(k, slot, /*update_mac=*/true);
-          tag.st = TagRt::St::kBackoff;
-          redraw_wait(k, slot);
-        }
+        if (tag.counter == 0 || --tag.counter == 0) t.finish_wait(k, slot);
       }
     }
   }
-
-  // Attempts still waiting on a verdict at trial end have fully
-  // synthesized frames (starts are parked otherwise): resolve them for
-  // the stats without MAC consequences. The active engine also settles
-  // each tag's outstanding idle-energy span here; a tag that never woke
-  // under a static channel takes the precomputed whole-trial harvest
-  // fold (the identical sequential sum starting from the same 0.0) in
-  // one add.
-  for (std::size_t k = 0; k < n_tags; ++k) {
-    if (rt[k].st == TagRt::St::kWaitVerdict) {
-      resolve_frame(k, slots - 1, /*update_mac=*/false);
-    }
-    rt[k].st = TagRt::St::kBackoff;
-    if constexpr (ActiveSet) {
-      if (static_channel_ && !config_.energy_gating && e_next[k] == 0) {
-        res.tags[k].harvested_j += static_channel_->idle_sum[k];
-      } else {
-        ff_idle(k, slots);
-      }
-    }
-    res.tags[k].spent_j = rt[k].ledger.total_energy_j();
-  }
-  if (relay_on) {
-    // Frames still sitting in forwarding queues never reached a
-    // gateway: fabric drops (no streak charge — the per-trial relay
-    // state dies here anyway).
-    for (const auto& q : relay_queue) res.relay_drops += q.size();
-  }
-
-  if (waveform_all && fleet.record_frames) {
-    fold_histories(res.envelope_digest, env_buf, total);
-  }
-
-  res.wasted_slots = (res.busy_slots > res.useful_slots
-                          ? res.busy_slots - res.useful_slots
-                          : 0) +
-                     idle_wait_slots;
-  if (timed) {
-    // Pure measurement: the verdict/escalation shares were accumulated
-    // at their dispatch sites; the slot-loop share is the remainder.
-    const double loop_s =
-        std::chrono::duration<double>(Clock::now() - t_loop).count();
-    stages->slot_loop_s += loop_s - verdict_acc;
-    stages->verdict_s += verdict_acc - esc_acc;
-    stages->escalate_s += esc_acc;
-  }
-  return res;
+  return t.finish(t_loop);
 }
 
 NetworkSimSummary NetworkSimulator::run(std::size_t n) const {

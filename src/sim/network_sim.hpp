@@ -288,6 +288,50 @@ struct NetworkCounters {
   bool operator==(const NetworkCounters&) const = default;
 };
 
+/// Dead-gateway failover of one trial: each tag's current serving
+/// gateway (the link-quality choice until a switch), failure streak,
+/// switch count and per-gateway blacklist. It acts under kBestGateway
+/// with failover_streak_frames > 0 and several gateways. Its holdoff
+/// jitter comes from its own side substream, so enabling failover never
+/// disturbs the main trial draws.
+class GatewayFailover {
+ public:
+  /// `serving` is the link-quality choice per tag, `h_tr` the tag-major
+  /// [tag * n_gw + gw] link gains of this trial.
+  GatewayFailover(const NetworkSimConfig& config, std::uint64_t trial_index,
+                  std::span<const std::size_t> serving,
+                  std::span<const cf32> h_tr);
+
+  std::size_t serving(std::size_t k) const { return serving_[k]; }
+  /// Whether the combining rule listens to gateway g for tag k: every
+  /// gateway under kAnyGateway, else the serving one.
+  bool listens(std::size_t k, std::size_t g) const {
+    return any_gateway_ || g == serving_[k];
+  }
+  /// Tag k's frame started at `start_slot` resolved at `learn_slot`. A
+  /// delivery clears the streak and the switch count. A failure extends
+  /// the streak; at the threshold the serving gateway is blacklisted
+  /// for mac::failover_holdoff_slots and the strongest non-blacklisted
+  /// link takes over, counted in res.failovers and
+  /// res.time_to_failover_slots.
+  void note(std::size_t k, bool delivered, std::uint64_t start_slot,
+            std::uint64_t learn_slot, NetworkCounters& res);
+  /// First slot at which gateway g may serve tag k again.
+  std::uint64_t blacklisted_until(std::size_t k, std::size_t g) const {
+    return blacklist_until_[k * n_gw_ + g];
+  }
+
+ private:
+  bool on_ = false;
+  bool any_gateway_ = true;
+  std::size_t n_gw_ = 1;
+  const NetworkSimConfig* config_ = nullptr;
+  std::span<const cf32> h_tr_;
+  Rng rng_;
+  std::vector<std::size_t> serving_, streak_, switches_;
+  std::vector<std::uint64_t> streak_start_, blacklist_until_;
+};
+
 /// Outcome of one trial (slots_per_trial block-times of network time).
 struct NetworkTrialResult : NetworkCounters {
   /// Per-frame log; filled only when FleetConfig::record_frames.
@@ -423,13 +467,9 @@ class NetworkSimulator {
   /// (MAC countdown decrements, full energy sweep, interference-sum
   /// rows) exactly as the pre-active-set simulator did. Same purity and
   /// determinism contracts as run_trial, and bit-identical results —
-  /// tests/sim/active_set_test.cpp pins the two engines EXPECT_EQ
-  /// across scenario x MAC x fault x energy-gating configs.
+  /// tests/sim/active_set_test.cpp pins the two engines EXPECT_EQ,
+  /// summaries and per-trial frame records, across its config matrix.
   NetworkTrialResult run_trial_reference(std::uint64_t trial_index) const;
-  NetworkTrialResult run_trial_reference(std::uint64_t trial_index,
-                                         SynthArena& arena,
-                                         TrialStageTimes* stages =
-                                             nullptr) const;
 
   /// Runs trials [0, n) serially and aggregates. Equivalent trial-set
   /// to ExperimentRunner::run_chunked at any job count.
@@ -470,13 +510,6 @@ class NetworkSimulator {
   std::size_t notify_latency_slots(std::size_t k, std::size_t g) const {
     return notify_pg_.at(k * gateway_device_.size() + g);
   }
-  /// The fault injector compiled from NetworkSimConfig::faults.
-  const FaultInjector& fault_injector() const { return injector_; }
-  /// Whether tag k is inside FleetConfig::cull_radius_m of gateway g
-  /// (always true with the default infinite radius).
-  bool tag_in_range(std::size_t k, std::size_t g) const {
-    return in_range_.at(k * gateway_device_.size() + g) != 0;
-  }
   /// Whether tag k is outside interference range of *every* gateway.
   bool tag_culled(std::size_t k) const { return culled_.at(k) != 0; }
   /// Number of culled tags in the deployment.
@@ -485,11 +518,15 @@ class NetworkSimulator {
   const RelayTopology& relay_topology() const { return relay_topo_; }
 
  private:
-  /// Both engines share one templated trial body; `ActiveSet` selects
-  /// the wake-bucket/event-driven machinery (true, run_trial) or the
-  /// historical per-slot scans (false, run_trial_reference) at the few
-  /// points where they differ. Everything else — RNG draw order, frame
-  /// resolution, fault handling — is literally the same code.
+  /// One trial's state, named parts and frame transitions.
+  template <bool ActiveSet>
+  struct Trial;
+
+  /// The slot engine. `ActiveSet` only selects which tags a slot visits
+  /// — wake buckets (true, run_trial) or scans of every tag (false,
+  /// run_trial_reference) — and the matching storage: wake buckets or
+  /// countdowns, interference maxima or sum rows, lazy or per-slot idle
+  /// energy. What a visit does to a tag is the same Trial code in both.
   template <bool ActiveSet>
   NetworkTrialResult run_trial_impl(std::uint64_t trial_index,
                                     SynthArena& arena,

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "sim/fleet.hpp"
+#include "sim/network_sim.hpp"
 
 namespace fdb::sim {
 
@@ -91,6 +92,88 @@ RelayTopology::RelayTopology(std::span<const channel::Vec2> positions,
     if (!ranked.empty()) children_.push_back(static_cast<std::uint32_t>(k));
   }
   off_[n] = static_cast<std::uint32_t>(flat_.size());
+}
+
+RelayFabric::RelayFabric(const RelayTopology& topology,
+                         const RelayConfig& config, std::size_t frame_slots)
+    : topo_(&topology),
+      config_(config),
+      frame_slots_(frame_slots),
+      queue_(topology.num_tags()),
+      parent_(topology.num_tags(), 0),
+      attempts_(topology.num_links(), 0),
+      successes_(topology.num_links(), 0),
+      streak_(topology.num_tags(), 0),
+      streak_start_(topology.num_tags(), 0) {}
+
+std::size_t RelayFabric::backlog() const {
+  std::size_t n = 0;
+  for (const auto& q : queue_) n += q.size();
+  return n;
+}
+
+std::optional<QueuedFrame> RelayFabric::pop(std::size_t k,
+                                            NetworkCounters& res) {
+  if (queue_[k].empty()) return std::nullopt;
+  QueuedFrame f = std::move(queue_[k].front());
+  queue_[k].erase(queue_[k].begin());
+  ++res.relay_tx_frames;
+  return f;
+}
+
+bool RelayFabric::resolve_hop(std::size_t k, bool clean, double margin_db,
+                              QueuedFrame frame, std::uint64_t learn_slot,
+                              NetworkCounters& res) {
+  const std::size_t l = link(k);
+  ++attempts_[l];
+  if (!(clean && margin_db >= config_.min_margin_db)) {
+    // A fresh frame's failed hop is already on the link's record.
+    if (frame.originator == k) {
+      charge_failure(frame.originator, learn_slot, /*charge_link=*/false, res);
+    }
+    return false;
+  }
+  ++successes_[l];
+  const std::uint32_t o = frame.originator;
+  auto& q = queue_[parent(k)];
+  if (q.size() < config_.queue_capacity) {
+    q.push_back(std::move(frame));
+    ++res.relay_rx_frames;
+    res.useful_slots += frame_slots_;
+  } else {
+    drop(o, learn_slot, res);
+  }
+  return true;
+}
+
+void RelayFabric::drop(std::uint32_t originator, std::uint64_t learn_slot,
+                       NetworkCounters& res) {
+  ++res.relay_drops;
+  charge_failure(originator, learn_slot, /*charge_link=*/true, res);
+}
+
+void RelayFabric::charge_failure(std::uint32_t o, std::uint64_t learn_slot,
+                                 bool charge_link, NetworkCounters& res) {
+  if (charge_link) ++attempts_[link(o)];
+  if (streak_[o] == 0) streak_start_[o] = learn_slot;
+  if (++streak_[o] < config_.reparent_fail_streak) return;
+  const std::size_t off = topo_->link_offset(o);
+  const std::size_t n_cands = topo_->candidates(o).size();
+  std::size_t best = parent_[o];
+  double best_etx = std::numeric_limits<double>::infinity();
+  for (std::size_t ci = 0; ci < n_cands; ++ci) {
+    if (etx(off + ci) < best_etx) {
+      best_etx = etx(off + ci);
+      best = ci;
+    }
+  }
+  if (best != parent_[o]) {
+    parent_[o] = static_cast<std::uint32_t>(best);
+    ++res.failovers;
+    res.time_to_failover_slots.add(
+        static_cast<double>(learn_slot - streak_start_[o] + 1));
+  }
+  streak_[o] = 0;
 }
 
 }  // namespace fdb::sim

@@ -13,7 +13,7 @@
 // range of a level n-1 tag, out to max_hops. A tag's *parent
 // candidates* are its level-(n-1) neighbours sorted by (distance,
 // index); which candidate currently carries its traffic is decided per
-// trial by ETX-like per-link delivery stats (sim/network_sim.cpp), with
+// trial by ETX-like per-link delivery stats (RelayFabric), with
 // consecutive failures — including losses deeper in the chain, the
 // signal a dead gateway propagates back — triggering a re-parent that
 // the existing failover/time-to-failover stats measure.
@@ -34,12 +34,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "channel/scene.hpp"
 
 namespace fdb::sim {
+
+struct NetworkCounters;  // sim/network_sim.hpp
 
 /// Relaying knobs carried inside NetworkSimConfig.
 struct RelayConfig {
@@ -70,7 +73,7 @@ struct RelayConfig {
 /// Static hop topology over one deployment: BFS levels from the
 /// non-culled set and per-tag parent-candidate lists. Immutable after
 /// construction; all per-trial relay state (parents, ETX counters,
-/// queues) lives inside NetworkSimulator::run_trial.
+/// queues) lives in a RelayFabric.
 class RelayTopology {
  public:
   static constexpr std::size_t kUnreachable =
@@ -92,6 +95,7 @@ class RelayTopology {
   bool reachable(std::size_t k) const {
     return level_.at(k) != kUnreachable;
   }
+  std::size_t num_tags() const { return level_.size(); }
 
   /// Parent candidates of tag k: its level-(level(k)-1) neighbours,
   /// nearest first (ties to the lower index). Empty for level-0 and
@@ -117,6 +121,78 @@ class RelayTopology {
   std::vector<std::uint32_t> flat_;  ///< candidate parent tag ids
   std::vector<std::uint32_t> off_;   ///< tag -> range into flat_
   std::vector<std::uint32_t> children_;
+};
+
+/// One frame sitting in a relay's forwarding queue, waiting for the
+/// relay's next owned slotframe cell.
+struct QueuedFrame {
+  std::uint32_t originator = 0;  // tag whose fresh frame this carries
+  std::uint32_t hops = 0;        // hops taken to reach this queue
+  std::vector<std::uint8_t> payload;
+};
+
+/// The per-trial relay state over a RelayTopology: each child's current
+/// parent, per-link ETX counters, the forwarding queues and end-to-end
+/// failure streaks. Any loss of an originator's frame — a failed hop, a
+/// full queue, a forward lost upstream — extends its streak (the missing
+/// end-to-end ACK) and, past its own hop, counts as a failed attempt on
+/// its current link, so a dead upstream degrades the link's ETX while
+/// the first hop keeps succeeding. Reaching reparent_fail_streak moves
+/// the child to the ETX-best candidate, counted as a failover.
+class RelayFabric {
+ public:
+  RelayFabric() = default;  ///< relaying off: routes nothing
+  RelayFabric(const RelayTopology& topology, const RelayConfig& config,
+              std::size_t frame_slots);
+
+  /// Whether tag k's frames resolve through the hop rule.
+  bool routes(std::size_t k) const {
+    return topo_ != nullptr && topo_->reachable(k) && topo_->level(k) >= 1;
+  }
+  /// Flat link index of child k's current parent (keys hop gains).
+  std::size_t link(std::size_t k) const {
+    return topo_->link_offset(k) + parent_[k];
+  }
+  std::uint32_t parent(std::size_t k) const {
+    return topo_->candidates(k)[parent_[k]];
+  }
+  /// Smoothed ETX of a flat link: (attempts + 1) / (successes + 1).
+  double etx(std::size_t link) const {
+    return static_cast<double>(attempts_[link] + 1) /
+           static_cast<double>(successes_[link] + 1);
+  }
+  /// Frames still queued anywhere.
+  std::size_t backlog() const;
+
+  /// Pops relay k's oldest queued frame, counted in res.relay_tx_frames.
+  std::optional<QueuedFrame> pop(std::size_t k, NetworkCounters& res);
+  /// Settles child k's hop of `frame` to its current parent: it
+  /// delivers iff the frame stayed `clean` on air and the link's
+  /// analytic `margin_db` clears RelayConfig::min_margin_db. A delivered
+  /// frame joins the parent's queue, or is dropped when that is full. A
+  /// failed fresh frame extends its streak; a failed forward is left to
+  /// the caller's drop(). Returns whether the hop delivered.
+  bool resolve_hop(std::size_t k, bool clean, double margin_db,
+                   QueuedFrame frame, std::uint64_t learn_slot,
+                   NetworkCounters& res);
+  /// A frame of `originator` lost in the fabric, learned at `learn_slot`.
+  void drop(std::uint32_t originator, std::uint64_t learn_slot,
+            NetworkCounters& res);
+  /// A forward of `originator` reached a gateway: its streak restarts.
+  void delivered(std::uint32_t originator) { streak_[originator] = 0; }
+
+ private:
+  void charge_failure(std::uint32_t originator, std::uint64_t learn_slot,
+                      bool charge_link, NetworkCounters& res);
+
+  const RelayTopology* topo_ = nullptr;
+  RelayConfig config_;
+  std::size_t frame_slots_ = 0;
+  std::vector<std::vector<QueuedFrame>> queue_;
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint64_t> attempts_, successes_;
+  std::vector<std::size_t> streak_;
+  std::vector<std::uint64_t> streak_start_;
 };
 
 }  // namespace fdb::sim

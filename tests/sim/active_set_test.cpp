@@ -53,6 +53,16 @@ void expect_engines_agree(const NetworkSimConfig& config,
     SCOPED_TRACE("active jobs=8 vs reference");
     EXPECT_EQ(run_active(sim, trials, 8), ref);
   }
+  // Trial by trial with frame recording on: the frame records (band,
+  // margin, escalation) and the per-gateway envelope digests must agree
+  // too, not only the summary counters.
+  NetworkSimConfig recorded = config;
+  recorded.fleet.record_frames = true;
+  const NetworkSimulator rec(recorded);
+  for (std::size_t t = 0; t < trials; ++t) {
+    SCOPED_TRACE("recorded trial " + std::to_string(t));
+    EXPECT_EQ(rec.run_trial(t), rec.run_trial_reference(t));
+  }
 }
 
 // ----- scenario x MAC x fault x energy-gating golden matrix ----------
@@ -137,6 +147,34 @@ TEST(ActiveSetEngine, HybridAndAnalyticFleetModesMatchReference) {
 
 TEST(ActiveSetEngine, BestGatewayFailoverMatchesReference) {
   expect_engines_agree(best_gateway_failover_config());
+}
+
+// netbench's mesh-relay-faults shape, scaled down: the only row where
+// relaying and fault injection meet.
+TEST(ActiveSetEngine, MeshRelayWithFaultsMatchesReference) {
+  auto config = make_scenario("warehouse-mesh", 24, 37).config;
+  config.slots_per_trial = 160;
+  config.faults.intensity = 0.1;
+  ASSERT_TRUE(config.relay.enabled);
+  const NetworkSimulator sim(config);
+  const NetworkSimSummary summary = run_reference(sim, 3);
+  EXPECT_GT(summary.relay_tx_frames, 0u) << "row should forward frames";
+  EXPECT_GT(summary.faulted_frames_attempted, 0u) << "row should see faults";
+  expect_engines_agree(config);
+}
+
+// The ofdm_tv carrier is not constant: kWaveform reads a trial-length
+// carrier buffer and kHybrid fills it lazily per escalated window.
+TEST(ActiveSetEngine, OfdmTvCarrierMatchesReference) {
+  auto config = make_scenario("dense-deployment", 10, 19).config;
+  config.slots_per_trial = 128;
+  config.carrier = "ofdm_tv";
+  for (const FidelityMode mode :
+       {FidelityMode::kWaveform, FidelityMode::kHybrid}) {
+    SCOPED_TRACE(fidelity_name(mode));
+    config.fleet.fidelity = mode;
+    expect_engines_agree(config, 2);
+  }
 }
 
 // ----- summary merge round trip --------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/faults.hpp"
 #include "sim/network_sim.hpp"
@@ -205,6 +206,91 @@ TEST(NetworkSimRelay, WarehouseMeshDrainsTheDeadHalf) {
   const auto s = sim.run(3);
   EXPECT_GT(s.relayed_delivered, 0u);
   EXPECT_GE(s.relay_hops.min(), 2.0);
+}
+
+// ----- RelayFabric alone ---------------------------------------------
+
+RelayConfig fabric_config() {
+  RelayConfig config;
+  config.enabled = true;
+  config.range_m = 12.0;
+  config.max_hops = 3;
+  config.reparent_fail_streak = 2;
+  config.min_margin_db = 3.0;
+  return config;
+}
+
+QueuedFrame fresh(std::uint32_t k) { return {k, 1, {0xab}}; }
+
+TEST(RelayFabric, ReparentsOntoTheEtxBestCandidateAtTheStreak) {
+  // Three in-range parents and one culled child: candidates nearest
+  // first are tags 0 (5.10 m), 1 (5.39 m) and 2 (5.83 m).
+  const std::vector<channel::Vec2> pos{{0, 0}, {3, 0}, {-2, 0}, {1, 5}};
+  const std::vector<std::uint8_t> culled{0, 0, 0, 1};
+  const RelayConfig config = fabric_config();
+  const RelayTopology topo(pos, culled, config, 4.0);
+  ASSERT_EQ(topo.candidates(3).size(), 3u);
+  RelayFabric fabric(topo, config, 6);
+  NetworkCounters res;
+  ASSERT_TRUE(fabric.routes(3));
+  ASSERT_EQ(fabric.parent(3), 0u);
+
+  // A collided hop, then one under the margin floor: the second failure
+  // reaches the streak and moves the child off tag 0 (ETX 3) onto the
+  // first of the untried candidates (ETX 1, ties to the nearer).
+  EXPECT_FALSE(fabric.resolve_hop(3, /*clean=*/false, 10.0, fresh(3), 10, res));
+  EXPECT_EQ(fabric.parent(3), 0u);
+  EXPECT_EQ(res.failovers, 0u);
+  EXPECT_FALSE(fabric.resolve_hop(3, /*clean=*/true, 2.0, fresh(3), 14, res));
+  EXPECT_EQ(fabric.parent(3), 1u);
+  EXPECT_EQ(res.failovers, 1u);
+  EXPECT_EQ(res.time_to_failover_slots.mean(), 5.0);  // slots 10..14
+
+  // Tag 1 delivers once and then fails twice: ETX 2 there, 3 on tag 0,
+  // 1 on the untried tag 2 — the re-parent picks tag 2, not the next.
+  EXPECT_TRUE(fabric.resolve_hop(3, true, 10.0, fresh(3), 20, res));
+  EXPECT_EQ(res.relay_rx_frames, 1u);
+  EXPECT_EQ(res.useful_slots, 6u);
+  EXPECT_FALSE(fabric.resolve_hop(3, false, 10.0, fresh(3), 24, res));
+  EXPECT_EQ(fabric.parent(3), 1u);
+  EXPECT_FALSE(fabric.resolve_hop(3, false, 10.0, fresh(3), 30, res));
+  EXPECT_DOUBLE_EQ(fabric.etx(topo.link_offset(3) + 0), 3.0);
+  EXPECT_DOUBLE_EQ(fabric.etx(topo.link_offset(3) + 1), 2.0);
+  EXPECT_EQ(fabric.parent(3), 2u);
+  EXPECT_EQ(res.failovers, 2u);
+  EXPECT_EQ(res.relay_drops, 0u);  // hop failures are not fabric drops
+}
+
+TEST(RelayFabric, FullQueueDropsAndChargesTheOriginatorsLink) {
+  // A chain gateway-side 0 <- 1 <- 2: tag 1 relays tag 2's frames.
+  const std::vector<channel::Vec2> pos{{0, 0}, {0, 10}, {0, 20}};
+  const std::vector<std::uint8_t> culled{0, 1, 1};
+  RelayConfig config = fabric_config();
+  config.queue_capacity = 1;
+  const RelayTopology topo(pos, culled, config, 4.0);
+  ASSERT_EQ(topo.level(2), 2u);
+  RelayFabric fabric(topo, config, 6);
+  NetworkCounters res;
+
+  // Tag 1's own frame fills tag 0's queue.
+  EXPECT_TRUE(fabric.resolve_hop(1, true, 10.0, fresh(1), 10, res));
+  EXPECT_EQ(res.relay_rx_frames, 1u);
+  // Tag 1 forwards tag 2's frame: the hop succeeds but the queue is
+  // full, so the frame is a fabric drop charged to tag 2's link (2 -> 1)
+  // while tag 1's own link keeps a clean record.
+  EXPECT_TRUE(fabric.resolve_hop(1, true, 10.0, {2, 2, {0xcd}}, 12, res));
+  EXPECT_EQ(res.relay_rx_frames, 1u);
+  EXPECT_EQ(res.relay_drops, 1u);
+  EXPECT_DOUBLE_EQ(fabric.etx(fabric.link(2)), 2.0);  // 1 charge, 0 ok
+  EXPECT_DOUBLE_EQ(fabric.etx(fabric.link(1)), 1.0);  // 2 hops, 2 ok
+
+  // The queued frame pops in order and counts as a relay transmission.
+  const auto f = fabric.pop(0, res);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->originator, 1u);
+  EXPECT_EQ(res.relay_tx_frames, 1u);
+  EXPECT_FALSE(fabric.pop(0, res).has_value());
+  EXPECT_EQ(fabric.backlog(), 0u);
 }
 
 }  // namespace
