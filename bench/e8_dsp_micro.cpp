@@ -432,8 +432,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < states.size(); ++i) states[i] = (i / 480) % 2;
     std::vector<float> out(env.size());
     return time_stage("self_interference_normalizer", env.size(), 32, n, [&] {
-      fdb::core::SelfInterferenceNormalizer::normalize_batch(env, states,
-                                                             out);
+      fdb::core::normalize_batch(env, states, out);
       g_sink = g_sink + out[0];
     });
   });

@@ -78,7 +78,6 @@ void CfoRotator::process(std::span<const cf32> in, std::span<cf32> out) {
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process(in[i]);
 }
 
-void CfoRotator::reset() { phase_ = 0.0; }
 
 DelayLine::DelayLine(std::size_t delay_samples) : buffer_(delay_samples) {}
 

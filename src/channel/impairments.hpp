@@ -49,7 +49,6 @@ class CfoRotator {
 
   cf32 process(cf32 x);
   void process(std::span<const cf32> in, std::span<cf32> out);
-  void reset();
 
  private:
   double step_rad_;

@@ -1,6 +1,9 @@
 #include "core/fd_modem.hpp"
 
 #include <cassert>
+#include <stdexcept>
+
+#include "core/self_interference.hpp"
 
 namespace fdb::core {
 
@@ -72,12 +75,10 @@ FdRxResult FdDataReceiver::demodulate(
   // device was reflecting so the data decoder sees one consistent level.
   std::span<const float> stream = envelope;
   if (!own_states.empty()) {
-    assert(own_states.size() == envelope.size());
     result.normalized.resize(envelope.size());
     // Burst decode gets the whole capture, so the two-pass batch form
     // applies: no warm-up transient at the head of the frame.
-    SelfInterferenceNormalizer::normalize_batch(
-        envelope, own_states, std::span<float>(result.normalized));
+    normalize_batch(envelope, own_states, std::span<float>(result.normalized));
     stream = result.normalized;
   }
 
@@ -103,13 +104,19 @@ FdFeedbackReceiver::FdFeedbackReceiver(FdModemConfig config)
 FeedbackDecodeResult FdFeedbackReceiver::decode(
     std::span<const float> envelope, std::span<const std::uint8_t> own_states,
     std::size_t data_start_sample, std::size_t num_bits) const {
-  assert(data_start_sample <= envelope.size());
+  if (data_start_sample > envelope.size()) {
+    throw std::invalid_argument(
+        "FdFeedbackReceiver::decode: data_start_sample lies past the "
+        "envelope");
+  }
+  if (!own_states.empty() && own_states.size() != envelope.size()) {
+    throw std::invalid_argument(
+        "FdFeedbackReceiver::decode: own_states must hold one state per "
+        "envelope sample");
+  }
   const auto tail = envelope.subspan(data_start_sample);
   std::span<const std::uint8_t> own_tail;
-  if (!own_states.empty()) {
-    assert(own_states.size() == envelope.size());
-    own_tail = own_states.subspan(data_start_sample);
-  }
+  if (!own_states.empty()) own_tail = own_states.subspan(data_start_sample);
   return decoder_.decode(tail, own_tail, num_bits);
 }
 

@@ -20,7 +20,6 @@
 
 #include "core/feedback.hpp"
 #include "core/frame_schedule.hpp"
-#include "core/self_interference.hpp"
 #include "phy/modem.hpp"
 
 namespace fdb::core {
@@ -28,7 +27,6 @@ namespace fdb::core {
 struct FdModemConfig {
   phy::ModemConfig data;            // data-plane modem (rates inside)
   FeedbackConfig feedback;          // feedback-plane coding/averaging
-  NormalizerConfig normalizer;      // self-interference handling at B
   ScheduleConfig schedule;          // block <-> slot timing
   std::size_t block_size_bytes = 8; // instant-NACK protocol unit
 
@@ -87,6 +85,8 @@ class FdDataReceiver {
   /// Decodes a blocked frame while the device transmits feedback.
   /// `own_states` is this device's *own* antenna state per sample
   /// (empty => device is silent, degenerates to half-duplex receive).
+  /// Throws std::invalid_argument when a non-empty `own_states` is not
+  /// one state per envelope sample.
   FdRxResult demodulate(std::span<const float> envelope,
                         std::span<const std::uint8_t> own_states,
                         std::size_t payload_bytes) const;
@@ -106,7 +106,9 @@ class FdFeedbackReceiver {
   /// envelope. `data_start_sample` is where the data section began in
   /// this capture (the transmitter knows: it set the timing);
   /// `own_states` is the transmitter's own antenna state per sample of
-  /// the same capture.
+  /// the same capture (or empty). Throws std::invalid_argument when
+  /// `data_start_sample` lies past the capture or a non-empty
+  /// `own_states` is not one state per envelope sample.
   FeedbackDecodeResult decode(std::span<const float> envelope,
                               std::span<const std::uint8_t> own_states,
                               std::size_t data_start_sample,

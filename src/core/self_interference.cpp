@@ -1,6 +1,7 @@
 #include "core/self_interference.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace fdb::core {
 
@@ -47,11 +48,14 @@ void SelfInterferenceNormalizer::reset() {
   seen_[0] = seen_[1] = 0;
 }
 
-double SelfInterferenceNormalizer::normalize_batch(
-    std::span<const float> envelope, std::span<const std::uint8_t> own_states,
-    std::span<float> out) {
-  assert(envelope.size() == own_states.size() &&
-         envelope.size() == out.size());
+double normalize_batch(std::span<const float> envelope,
+                       std::span<const std::uint8_t> own_states,
+                       std::span<float> out) {
+  if (own_states.size() != envelope.size() || out.size() != envelope.size()) {
+    throw std::invalid_argument(
+        "normalize_batch: own_states and out must match the envelope's "
+        "length");
+  }
   double sum[2] = {0.0, 0.0};
   std::size_t count[2] = {0, 0};
   for (std::size_t i = 0; i < envelope.size(); ++i) {

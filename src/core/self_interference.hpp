@@ -6,8 +6,10 @@
 // no cancellation circuitry — it can simply renormalise its received
 // envelope by the per-state gain. The gains are not known a priori
 // (they depend on antenna geometry and the ambient field), so they are
-// estimated online by conditioning an envelope average on the device's
-// own switch state.
+// estimated by conditioning an envelope average on the device's own
+// switch state: over a whole burst (normalize_batch, which
+// FdDataReceiver runs) or as a streaming EMA
+// (SelfInterferenceNormalizer).
 #pragma once
 
 #include <cstdint>
@@ -49,20 +51,23 @@ class SelfInterferenceNormalizer {
 
   void reset();
 
-  /// Two-pass batch variant for burst decode: estimates the per-state
-  /// means over the whole capture first, then rescales state-1 samples
-  /// with the final gain. Avoids the warm-up transient the streaming
-  /// form pays at the start of a burst (a real tag would burn a short
-  /// calibration prefix instead). Returns the applied gain.
-  static double normalize_batch(std::span<const float> envelope,
-                                std::span<const std::uint8_t> own_states,
-                                std::span<float> out);
-
  private:
   NormalizerConfig config_;
   double alpha_;
   double mean_[2] = {0.0, 0.0};
   std::size_t seen_[2] = {0, 0};
 };
+
+/// Two-pass batch form for burst decode, the one FdDataReceiver runs:
+/// estimates the per-state means over the whole capture first, then
+/// rescales state-1 samples with the final gain. Avoids the warm-up
+/// transient the streaming form pays at the start of a burst (a real
+/// tag would burn a short calibration prefix instead). A capture with
+/// only one state has no ratio to take: gain 1, samples unchanged.
+/// Returns the applied gain. Throws std::invalid_argument unless all
+/// spans have the same length.
+double normalize_batch(std::span<const float> envelope,
+                       std::span<const std::uint8_t> own_states,
+                       std::span<float> out);
 
 }  // namespace fdb::core

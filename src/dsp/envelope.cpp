@@ -71,6 +71,4 @@ void SquareLawDetector::process(std::span<const cf32> in,
   smoother_.process(std::span<const float>(out.data(), out.size()), out);
 }
 
-void SquareLawDetector::reset() { smoother_.reset(); }
-
 }  // namespace fdb::dsp

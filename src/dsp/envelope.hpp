@@ -42,7 +42,6 @@ class SquareLawDetector {
 
   float process(cf32 x);
   void process(std::span<const cf32> in, std::span<float> out);
-  void reset();
 
  private:
   OnePole smoother_;

@@ -38,14 +38,6 @@ void Goertzel::process_blocks(std::span<const float> samples,
   }
 }
 
-void Goertzel::process_blocks(std::span<const cf32> samples,
-                              std::span<double> powers) {
-  assert(samples.size() == powers.size() * block_len_);
-  for (std::size_t b = 0; b < powers.size(); ++b) {
-    powers[b] = process_block(samples.subspan(b * block_len_, block_len_));
-  }
-}
-
 double Goertzel::process_block(std::span<const cf32> block) {
   assert(block.size() == block_len_);
   // Complex input: run two real Goertzels and combine. The target bin of

@@ -27,8 +27,6 @@ class Goertzel {
   /// process_block() per block without the per-call span slicing.
   void process_blocks(std::span<const float> samples,
                       std::span<double> powers);
-  void process_blocks(std::span<const cf32> samples,
-                      std::span<double> powers);
 
   std::size_t block_length() const { return block_len_; }
 

@@ -76,9 +76,9 @@ class MovingAverage {
   std::size_t filled_ = 0;
 };
 
-/// Double-buffered min/max tracker over a sliding window, used by the
-/// adaptive slicer to place its threshold midway between the envelope
-/// levels of the two reflection states.
+/// Double-buffered min/max tracker over a sliding window. No program
+/// calls it, only its unit tests: the adaptive slicer keeps its own
+/// window and deques.
 template <typename T>
 class WindowedMinMax {
  public:

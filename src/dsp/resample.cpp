@@ -21,11 +21,6 @@ void Decimator::process(std::span<const float> in, std::vector<float>& out) {
   }
 }
 
-void Decimator::reset() {
-  filter_.reset();
-  phase_ = 0;
-}
-
 Interpolator::Interpolator(std::size_t factor, std::size_t taps)
     : factor_(factor),
       filter_(design_lowpass(0.45 / static_cast<double>(factor), taps | 1)) {
@@ -46,8 +41,6 @@ void Interpolator::process(std::span<const float> in,
   filter_.process(scratch_,
                   std::span<float>(out.data() + start, scratch_.size()));
 }
-
-void Interpolator::reset() { filter_.reset(); }
 
 HoldInterpolator::HoldInterpolator(std::size_t factor) : factor_(factor) {
   assert(factor > 0);

@@ -20,7 +20,6 @@ class Decimator {
   /// Feeds input samples; appends produced output samples to `out`.
   void process(std::span<const float> in, std::vector<float>& out);
   std::size_t factor() const { return factor_; }
-  void reset();
 
  private:
   std::size_t factor_;
@@ -36,7 +35,6 @@ class Interpolator {
 
   void process(std::span<const float> in, std::vector<float>& out);
   std::size_t factor() const { return factor_; }
-  void reset();
 
  private:
   std::size_t factor_;

@@ -25,17 +25,6 @@ bool finite_in(double v, double lo, double hi) {
 
 }  // namespace
 
-const char* fault_class_name(FaultClass c) {
-  switch (c) {
-    case FaultClass::kGatewayOutage: return "gateway_outage";
-    case FaultClass::kCarrierSag: return "carrier_sag";
-    case FaultClass::kBurstInterferer: return "burst_interferer";
-    case FaultClass::kTagStuck: return "tag_stuck";
-    case FaultClass::kTagDrift: return "tag_drift";
-  }
-  return "unknown";
-}
-
 void FaultConfig::validate() const {
   require(finite_in(intensity, 0.0, 1.0), "intensity must be in [0, 1]");
   require(finite_in(gateway_outages_per_kslot, 0.0, 1e6),

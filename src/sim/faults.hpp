@@ -65,9 +65,6 @@ enum class FaultClass : std::uint8_t {
 };
 constexpr std::size_t kNumFaultClasses = 5;
 
-/// Stable lowercase name for reports and error messages.
-const char* fault_class_name(FaultClass c);
-
 /// One scripted fault event, applied to every trial. `magnitude` is
 /// class-specific:
 ///   kGatewayOutage   residual amplitude gain in [0, 1] (0 = dead)

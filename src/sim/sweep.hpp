@@ -22,7 +22,7 @@ namespace fdb::sim {
 
 /// Runs `row_fn` for every value in `values` through `runner`,
 /// collecting table rows in axis order. Keeps the bench mains
-/// declarative: sweep(runner, xs, fn).print(). `row_fn` must be safe to
+/// declarative: sweep(runner, xs, fn).render(). `row_fn` must be safe to
 /// call concurrently for distinct values.
 template <typename T>
 Table sweep(const ExperimentRunner& runner, std::vector<std::string> headers,

@@ -1,9 +1,8 @@
 // Bit-level helpers: the PHY works in bits while payloads live in
-// bytes. MSB-first is the on-air order everywhere (framer, CRC,
-// feedback words), so the pack/unpack pair here is the single place
-// that convention is encoded. Hamming distance is the BER counter's
-// primitive; append/read_bits build and parse the header fields of
-// phy/framer.hpp without a bit-stream class.
+// bytes, MSB first on air everywhere (framer, CRC, feedback words).
+// append/read_bits build and parse the header fields of phy/framer.hpp
+// without a bit-stream class. The byte pack/unpack pair,
+// hamming_distance and Lfsr16 have no caller outside their own tests.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,7 @@ std::uint32_t read_bits(std::span<const std::uint8_t> bits, std::size_t offset,
                         int nbits);
 
 /// Pseudo-random bit sequence generator (Fibonacci LFSR, poly x^16+x^14+
-/// x^13+x^11+1). Used for scrambling and test payloads; maximal length.
+/// x^13+x^11+1), maximal length.
 class Lfsr16 {
  public:
   explicit Lfsr16(std::uint16_t seed = 0xACE1u);

@@ -54,6 +54,4 @@ std::string Table::render() const {
   return os.str();
 }
 
-void Table::print() const { std::fputs(render().c_str(), stdout); }
-
 }  // namespace fdb

@@ -21,9 +21,6 @@ class Table {
   /// Renders with column alignment and a header rule.
   std::string render() const;
 
-  /// Renders straight to stdout.
-  void print() const;
-
   std::size_t rows() const { return rows_.size(); }
 
  private:

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/rng.hpp"
 
 namespace fdb::core {
@@ -172,6 +174,29 @@ TEST(FdDataReceiver, CorruptedBlockIsolated) {
   EXPECT_TRUE(result.blocks.block_ok[1]);
   EXPECT_FALSE(result.blocks.block_ok[2]);
   // Block 3 may or may not survive the slicer transient; block 0/1 must.
+}
+
+TEST(FdDataReceiver, RejectsShortOwnStates) {
+  const auto config = small_config();
+  FdDataReceiver rx(config);
+  const std::vector<float> env(600, 1.0f);
+  const std::vector<std::uint8_t> own(env.size() - 1, 1);
+  EXPECT_THROW(rx.demodulate(env, own, 4), std::invalid_argument);
+}
+
+TEST(FdFeedbackReceiver, RejectsDataStartPastEnvelope) {
+  const auto config = small_config();
+  FdFeedbackReceiver rx(config);
+  const std::vector<float> env(600, 1.0f);
+  EXPECT_THROW(rx.decode(env, {}, env.size() + 1, 1), std::invalid_argument);
+}
+
+TEST(FdFeedbackReceiver, RejectsShortOwnStates) {
+  const auto config = small_config();
+  FdFeedbackReceiver rx(config);
+  const std::vector<float> env(600, 1.0f);
+  const std::vector<std::uint8_t> own(100, 1);
+  EXPECT_THROW(rx.decode(env, own, 200, 1), std::invalid_argument);
 }
 
 TEST(FdDataTransmitter, RetransmissionBurstContainsOnlyRequestedBlocks) {

@@ -9,44 +9,49 @@
 namespace fdb::core {
 namespace {
 
+// RemovesKnownScaleChange, PreservesDataModulationOnTop,
+// State0PassesThroughUnchanged and SingleStateCaptureUnchanged drive the
+// two-pass batch form, the one FdDataReceiver runs; the rest pin the
+// streaming EMA normalizer.
+
 TEST(Normalizer, RemovesKnownScaleChange) {
   // Envelope is 1.0 while own state is 0, and 1.4 while own state is 1
-  // (own reflection raises the level). After warm-up the normalised
-  // stream should be flat at ~1.0.
-  SelfInterferenceNormalizer normalizer({.ema_samples = 64,
-                                         .warmup_samples = 32});
-  // Alternate states in runs of 16 samples.
-  float last_state1_output = 0.0f;
-  for (int i = 0; i < 4000; ++i) {
-    const bool state = (i / 16) % 2 == 1;
-    const float env = state ? 1.4f : 1.0f;
-    const float y = normalizer.process(env, state);
-    if (state && i > 3000) last_state1_output = y;
+  // (own reflection raises the level). The normalised stream should be
+  // flat at ~1.0.
+  std::vector<float> env(4000);
+  std::vector<std::uint8_t> states(env.size());
+  for (std::size_t i = 0; i < env.size(); ++i) {
+    states[i] = (i / 16) % 2;  // alternate states in runs of 16 samples
+    env[i] = states[i] ? 1.4f : 1.0f;
   }
-  EXPECT_NEAR(last_state1_output, 1.0f, 0.02f);
-  EXPECT_NEAR(normalizer.gain(), 1.0 / 1.4, 0.02);
+  std::vector<float> out(env.size());
+  const double gain = normalize_batch(env, states, out);
+  EXPECT_NEAR(gain, 1.0 / 1.4, 1e-6);
+  for (const float y : out) EXPECT_NEAR(y, 1.0f, 1e-6f);
 }
 
 TEST(Normalizer, PreservesDataModulationOnTop) {
   // Data signal (small swing d) rides on both own-state levels; after
   // normalisation the swing must survive in comparable size.
-  SelfInterferenceNormalizer normalizer({.ema_samples = 256,
-                                         .warmup_samples = 64});
-  Rng rng(3);
-  std::vector<float> out0, out1;
-  for (int i = 0; i < 20000; ++i) {
-    const bool own = (i / 64) % 2 == 1;
-    const bool data = (i / 8) % 2 == 1;  // fast data toggling
-    const float base = own ? 1.5f : 1.0f;
-    const float env = base * (data ? 1.1f : 1.0f);
-    const float y = normalizer.process(env, own);
-    if (i > 15000) (data ? out1 : out0).push_back(y);
+  std::vector<float> env(20000);
+  std::vector<std::uint8_t> own(env.size());
+  std::vector<std::uint8_t> data(env.size());
+  for (std::size_t i = 0; i < env.size(); ++i) {
+    own[i] = (i / 64) % 2;
+    data[i] = (i / 8) % 2;  // fast data toggling
+    const float base = own[i] ? 1.5f : 1.0f;
+    env[i] = base * (data[i] ? 1.1f : 1.0f);
   }
-  double m0 = 0.0, m1 = 0.0;
-  for (const float v : out0) m0 += v;
-  for (const float v : out1) m1 += v;
-  m0 /= static_cast<double>(out0.size());
-  m1 /= static_cast<double>(out1.size());
+  std::vector<float> out(env.size());
+  normalize_batch(env, own, out);
+  double sum[2] = {0.0, 0.0};
+  std::size_t count[2] = {0, 0};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    sum[data[i]] += out[i];
+    ++count[data[i]];
+  }
+  const double m0 = sum[0] / static_cast<double>(count[0]);
+  const double m1 = sum[1] / static_cast<double>(count[1]);
   // Data swing ~10% preserved after own-state normalisation.
   EXPECT_NEAR(m1 / m0, 1.1, 0.02);
 }
@@ -61,9 +66,32 @@ TEST(Normalizer, UnityGainBeforeWarmup) {
 }
 
 TEST(Normalizer, State0PassesThroughUnchanged) {
-  SelfInterferenceNormalizer normalizer;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FLOAT_EQ(normalizer.process(3.14f, false), 3.14f);
+  Rng rng(7);
+  std::vector<float> env(1000);
+  std::vector<std::uint8_t> states(env.size());
+  for (std::size_t i = 0; i < env.size(); ++i) {
+    env[i] = 1.0f + static_cast<float>(rng.uniform());
+    states[i] = rng.chance(0.5) ? 1 : 0;
+  }
+  std::vector<float> out(env.size());
+  const double gain = normalize_batch(env, states, out);
+  EXPECT_NE(gain, 1.0);
+  for (std::size_t i = 0; i < env.size(); ++i) {
+    if (states[i] == 0) {
+      EXPECT_EQ(out[i], env[i]) << "sample " << i;
+    }
+  }
+}
+
+TEST(Normalizer, SingleStateCaptureUnchanged) {
+  // One state only: there is no ratio to take, so the gain is 1 and
+  // every sample passes through, whichever state it is.
+  const std::vector<float> env = {0.5f, 1.25f, 2.0f, 3.5f};
+  std::vector<float> out(env.size());
+  for (const std::uint8_t s : {0, 1}) {
+    const std::vector<std::uint8_t> states(env.size(), s);
+    EXPECT_EQ(normalize_batch(env, states, out), 1.0);
+    EXPECT_EQ(out, env);
   }
 }
 
