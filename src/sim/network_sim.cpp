@@ -19,6 +19,70 @@
 #include "sim/link_budget.hpp"
 
 namespace fdb::sim {
+
+namespace detail {
+
+double add_repeated_steps(double acc, double h, std::uint64_t n) {
+  std::uint64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    acc += h;
+    acc += h;
+    acc += h;
+    acc += h;
+  }
+  for (; i < n; ++i) acc += h;
+  return acc;
+}
+
+// Why the jump is exact. Let acc = M·u, with u the spacing of doubles in
+// acc's binade and M its integer significand (< 2^53). While the sum
+// stays in the binade, acc + h rounds to (M + I)·u, where I is h/u
+// rounded to nearest and the same for every M, unless h is an odd
+// multiple of u/2 (a tie). On a tie, ties-to-even lands every add on an
+// even significand, and from an even M the even candidate is M + I for
+// one even I. So after one add that starts and ends in the binade,
+// every later in-binade add moves acc by the same I·u. A second add
+// reads it as d = next - prev (exact: both are multiples of u), and k
+// more adds land on (M + k·I)·u, representable while M + k·I < 2^53, so
+// acc + k·d rounds to exactly that. Zero and subnormal acc sit on the
+// subnormal spacing 2^-1074, which holds up to 2^-1021.
+double add_repeated(double acc, double h, std::uint64_t n) {
+  if (n == 0) return acc;
+  // x + 0 is x, except -0 + +0 = +0; either way one add reaches the
+  // value every later add keeps.
+  if (h == 0.0) return acc + h;
+  if (!(h > 0.0 && h < std::numeric_limits<double>::infinity() &&
+        acc >= 0.0)) {
+    return add_repeated_steps(acc, h, n);
+  }
+  constexpr std::uint64_t kFrac = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kSigMax = (std::uint64_t{1} << 53) - 1;
+  for (;;) {
+    // Past the top binade lies infinity, where d would be NaN.
+    if (!(acc < 0x1p1023)) return add_repeated_steps(acc, h, n);
+    // The exponent field, sign included: -0 leaves it on the first add.
+    const std::uint64_t binade = std::bit_cast<std::uint64_t>(acc) >> 52;
+    acc += h;
+    if (--n == 0) return acc;
+    const std::uint64_t a = std::bit_cast<std::uint64_t>(acc);
+    if (a >> 52 != binade) continue;  // crossed: start over in the next
+    const double prev = acc;
+    acc += h;
+    if (--n == 0) return acc;
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(acc);
+    if (b >> 52 != binade) continue;
+    const std::uint64_t inc = b - a;  // I
+    if (inc == 0) return acc;         // no later add moves acc
+    const std::uint64_t sig = (b & kFrac) | (binade != 0 ? kFrac + 1 : 0);
+    const std::uint64_t k = std::min(n, (kSigMax - sig) / inc);
+    acc += static_cast<double>(k) * (acc - prev);
+    n -= k;
+    if (n == 0) return acc;
+  }
+}
+
+}  // namespace detail
+
 namespace {
 
 // NetworkTrialResult::envelope_digest, FNV-1a over the float bit
@@ -131,24 +195,6 @@ enum class Loss {
   kBrownout,  ///< died on air when its storage ran dry
 };
 
-/// `acc` plus `n` adds of `h`, one at a time and in order, so the result
-/// is bit-identical to n per-slot steps. An ungated tag's idle harvest
-/// is this chain, and it dominates analytic 10k-tag trials. Four adds
-/// per pass keep each pass bound by the add latency wherever the linker
-/// places the loop; the speed of a one-add loop, a few bytes long,
-/// depends on how they fall across instruction-fetch lines.
-[[gnu::noinline]] double add_repeated(double acc, double h, std::uint64_t n) {
-  std::uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc += h;
-    acc += h;
-    acc += h;
-    acc += h;
-  }
-  for (; i < n; ++i) acc += h;
-  return acc;
-}
-
 /// Per-tag energy of one trial: storage, ledger and the per-slot
 /// recurrence. The reference engine steps every tag every slot; the
 /// active engine steps on-air tags only and replays idle spans on demand
@@ -189,10 +235,9 @@ class EnergyTracker {
     if (config_.energy_gating) {
       for (std::uint64_t s = e_next_[k]; s < upto; ++s) apply(k, false);
     } else if (e_next_[k] < upto) {
-      // Only the harvest sum moves: the same adds, in one out-of-line
-      // loop.
-      stats_[k].harvested_j =
-          add_repeated(stats_[k].harvested_j, h_idle_[k], upto - e_next_[k]);
+      // Only the harvest sum moves: the same adds, fast-forwarded.
+      stats_[k].harvested_j = detail::add_repeated(
+          stats_[k].harvested_j, h_idle_[k], upto - e_next_[k]);
     }
     e_next_[k] = static_cast<std::uint32_t>(upto);
   }
@@ -298,6 +343,13 @@ void NetworkSimConfig::validate() const {
     throw std::invalid_argument(
         "NetworkSimConfig: slots_per_trial must be positive (a trial "
         "needs at least one slot)");
+  }
+  // The active engine keeps slot indices in 32-bit fields.
+  if (slots_per_trial > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "NetworkSimConfig: slots_per_trial must be at most 2^32 - 1 "
+        "(4294967295), got " +
+        std::to_string(slots_per_trial));
   }
   if (!(notify_slots_per_m >= 0.0)) {
     throw std::invalid_argument(
@@ -568,15 +620,12 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
     channel::StaticFading fading;
     Rng no_draws;  // StaticFading consumes no randomness
     st->tables = build_channel(fading, no_draws, 0, st->arena);
-    // The fold replays the exact add sequence the per-slot sweep
-    // performs, so crediting it in one += at trial end is bit-identical.
+    // The fold is the exact result of the per-slot sweep's add sequence
+    // from 0.0, so crediting it in one += at trial end is bit-identical.
     st->idle_sum.resize(config_.tags.size());
     for (std::size_t k = 0; k < config_.tags.size(); ++k) {
-      double acc = 0.0;
-      for (std::size_t s = 0; s < config_.slots_per_trial; ++s) {
-        acc += st->tables.h_idle[k];
-      }
-      st->idle_sum[k] = acc;
+      st->idle_sum[k] = detail::add_repeated(0.0, st->tables.h_idle[k],
+                                             config_.slots_per_trial);
     }
     static_channel_ = std::move(st);
   }

@@ -617,4 +617,19 @@ class NetworkSimulator {
   std::shared_ptr<const StaticChannel> static_channel_;  ///< null = per trial
 };
 
+namespace detail {
+
+/// `acc` plus `n` adds of `h`, one at a time and in order: an ungated
+/// tag's idle harvest over n slots. The reference for add_repeated.
+double add_repeated_steps(double acc, double h, std::uint64_t n);
+
+/// add_repeated_steps(acc, h, n) bit for bit, without n adds: O(1) when
+/// h is zero; otherwise, for finite acc >= 0 below 2^1023 and finite
+/// h > 0, two adds and one exact jump per binade the sum crosses. Other
+/// inputs run the steps. Internal: the simulator's idle-harvest
+/// fast-forward, exposed so tests can pin it to add_repeated_steps.
+double add_repeated(double acc, double h, std::uint64_t n);
+
+}  // namespace detail
+
 }  // namespace fdb::sim

@@ -177,6 +177,38 @@ TEST(ActiveSetEngine, OfdmTvCarrierMatchesReference) {
   }
 }
 
+// Idle spans of up to thousands of slots with tags that harvest: the
+// only rows whose idle-harvest fast-forward (detail::add_repeated)
+// crosses many binades. fading-sweep redraws the channel per trial, so the
+// static-channel fold does not run there and every credit goes through
+// the active engine's catch-up.
+void expect_long_idle_harvest_agrees(NetworkSimConfig config) {
+  config.slots_per_trial = 4096;
+  config.backoff_min_slots = 2048;
+  config.backoff_max_exponent = 1;
+  // Analytic verdicts: the energy path is the same in every mode, and
+  // 4096 synthesized slots would make these the suite's slowest rows.
+  config.fleet.fidelity = FidelityMode::kAnalytic;
+  ASSERT_FALSE(config.energy_gating);
+  const NetworkTrialResult first = NetworkSimulator(config).run_trial(0);
+  ASSERT_TRUE(std::any_of(
+      first.tags.begin(), first.tags.end(),
+      [](const NetworkTagStats& t) { return t.harvested_j > 0.0; }))
+      << "row should harvest";
+  expect_engines_agree(config);
+}
+
+TEST(ActiveSetEngine, LongIdleHarvestMatchesReference) {
+  expect_long_idle_harvest_agrees(
+      make_scenario("dense-deployment", 16, 53).config);
+}
+
+TEST(ActiveSetEngine, LongIdleHarvestFadingMatchesReference) {
+  const auto config = make_scenario("fading-sweep", 16, 59).config;
+  ASSERT_EQ(config.fading, "rayleigh");
+  expect_long_idle_harvest_agrees(config);
+}
+
 // ----- summary merge round trip --------------------------------------
 
 void expect_stats_near(const RunningStats& a, const RunningStats& b) {

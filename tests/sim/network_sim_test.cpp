@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/runner.hpp"
 #include "sim/scenarios.hpp"
@@ -189,6 +192,25 @@ TEST(NetworkSimConfigValidation, RejectsZeroSlotsPerTrial) {
   auto config = small_config();
   config.slots_per_trial = 0;
   EXPECT_THROW((void)NetworkSimulator(config), std::invalid_argument);
+}
+
+TEST(NetworkSimConfigValidation, RejectsSlotsPerTrialPastUint32) {
+  // The active engine keeps slot indices in 32-bit fields: a 2^32-slot
+  // trial used to wrap them silently (or die allocating 16 GB of wake
+  // heads). validate() runs before any allocation.
+  auto config = small_config();
+  config.slots_per_trial = std::size_t{1} << 32;
+  try {
+    (void)NetworkSimulator(config);
+    FAIL() << "2^32 slots per trial should be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967295"), std::string::npos)
+        << e.what();
+  }
+  config.slots_per_trial = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.slots_per_trial = (std::size_t{1} << 32) - 1;  // the limit itself
+  EXPECT_NO_THROW(config.validate());
 }
 
 TEST(NetworkSimConfigValidation, RejectsNegativeNotifySlope) {
