@@ -23,62 +23,16 @@ namespace fdb::sim {
 namespace detail {
 
 double add_repeated_steps(double acc, double h, std::uint64_t n) {
-  std::uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc += h;
-    acc += h;
-    acc += h;
-    acc += h;
-  }
-  for (; i < n; ++i) acc += h;
+  for (; n != 0; --n) acc += h;
   return acc;
 }
 
-// Why the jump is exact. Let acc = M·u, with u the spacing of doubles in
-// acc's binade and M its integer significand (< 2^53). While the sum
-// stays in the binade, acc + h rounds to (M + I)·u, where I is h/u
-// rounded to nearest and the same for every M, unless h is an odd
-// multiple of u/2 (a tie). On a tie, ties-to-even lands every add on an
-// even significand, and from an even M the even candidate is M + I for
-// one even I. So after one add that starts and ends in the binade,
-// every later in-binade add moves acc by the same I·u. A second add
-// reads it as d = next - prev (exact: both are multiples of u), and k
-// more adds land on (M + k·I)·u, representable while M + k·I < 2^53, so
-// acc + k·d rounds to exactly that. Zero and subnormal acc sit on the
-// subnormal spacing 2^-1074, which holds up to 2^-1021.
 double add_repeated(double acc, double h, std::uint64_t n) {
   if (n == 0) return acc;
   // x + 0 is x, except -0 + +0 = +0; either way one add reaches the
   // value every later add keeps.
   if (h == 0.0) return acc + h;
-  if (!(h > 0.0 && h < std::numeric_limits<double>::infinity() &&
-        acc >= 0.0)) {
-    return add_repeated_steps(acc, h, n);
-  }
-  constexpr std::uint64_t kFrac = (std::uint64_t{1} << 52) - 1;
-  constexpr std::uint64_t kSigMax = (std::uint64_t{1} << 53) - 1;
-  for (;;) {
-    // Past the top binade lies infinity, where d would be NaN.
-    if (!(acc < 0x1p1023)) return add_repeated_steps(acc, h, n);
-    // The exponent field, sign included: -0 leaves it on the first add.
-    const std::uint64_t binade = std::bit_cast<std::uint64_t>(acc) >> 52;
-    acc += h;
-    if (--n == 0) return acc;
-    const std::uint64_t a = std::bit_cast<std::uint64_t>(acc);
-    if (a >> 52 != binade) continue;  // crossed: start over in the next
-    const double prev = acc;
-    acc += h;
-    if (--n == 0) return acc;
-    const std::uint64_t b = std::bit_cast<std::uint64_t>(acc);
-    if (b >> 52 != binade) continue;
-    const std::uint64_t inc = b - a;  // I
-    if (inc == 0) return acc;         // no later add moves acc
-    const std::uint64_t sig = (b & kFrac) | (binade != 0 ? kFrac + 1 : 0);
-    const std::uint64_t k = std::min(n, (kSigMax - sig) / inc);
-    acc += static_cast<double>(k) * (acc - prev);
-    n -= k;
-    if (n == 0) return acc;
-  }
+  return add_repeated_steps(acc, h, n);
 }
 
 }  // namespace detail
@@ -247,17 +201,9 @@ class EnergyTracker {
     brownout_[k] = 0;
     return b;
   }
-  /// Trial end: settles tag k's outstanding idle span and its spend. A
-  /// tag that never woke takes `idle_sum` (the static channel's
-  /// whole-trial fold, the identical sequential sum from the same 0.0)
-  /// in one add.
-  void settle(std::size_t k, std::uint64_t slots,
-              const std::vector<double>* idle_sum) {
-    if (idle_sum != nullptr && !config_.energy_gating && e_next_[k] == 0) {
-      stats_[k].harvested_j += (*idle_sum)[k];
-    } else {
-      catch_up(k, slots);
-    }
+  /// Trial end: settles tag k's outstanding idle span and its spend.
+  void settle(std::size_t k, std::uint64_t slots) {
+    catch_up(k, slots);
     stats_[k].spent_j = ledger_[k].total_energy_j();
   }
 
@@ -620,13 +566,6 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
     channel::StaticFading fading;
     Rng no_draws;  // StaticFading consumes no randomness
     st->tables = build_channel(fading, no_draws, 0, st->arena);
-    // The fold is the exact result of the per-slot sweep's add sequence
-    // from 0.0, so crediting it in one += at trial end is bit-identical.
-    st->idle_sum.resize(config_.tags.size());
-    for (std::size_t k = 0; k < config_.tags.size(); ++k) {
-      st->idle_sum[k] = detail::add_repeated(0.0, st->tables.h_idle[k],
-                                             config_.slots_per_trial);
-    }
     static_channel_ = std::move(st);
   }
 }
@@ -1295,14 +1234,12 @@ struct NetworkSimulator::Trial {
   /// the stats without MAC consequences. Frames still sitting in
   /// forwarding queues never reached a gateway: fabric drops.
   NetworkTrialResult finish(Clock::time_point t_loop) {
-    const std::vector<double>* idle_sum =
-        sim.static_channel_ ? &sim.static_channel_->idle_sum : nullptr;
     for (std::size_t k = 0; k < n_tags; ++k) {
       if (rt[k].st == TagRt::St::kWaitVerdict) {
         resolve_frame(k, slots - 1, /*update_mac=*/false);
       }
       rt[k].st = TagRt::St::kBackoff;
-      energy.settle(k, slots, idle_sum);
+      energy.settle(k, slots);
     }
     res.relay_drops += relay.backlog();
     if (waveform_all && cfg.fleet.record_frames) {

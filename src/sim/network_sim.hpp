@@ -610,9 +610,6 @@ class NetworkSimulator {
   struct StaticChannel {
     SynthArena arena;  ///< owns the tables' storage
     ChannelTables tables;
-    /// Full-trial fold of slots_per_trial idle harvest adds per tag: the
-    /// harvested_j of a tag that never transmits, in one lookup.
-    std::vector<double> idle_sum;
   };
   std::shared_ptr<const StaticChannel> static_channel_;  ///< null = per trial
 };
@@ -623,10 +620,8 @@ namespace detail {
 /// tag's idle harvest over n slots. The reference for add_repeated.
 double add_repeated_steps(double acc, double h, std::uint64_t n);
 
-/// add_repeated_steps(acc, h, n) bit for bit, without n adds: O(1) when
-/// h is zero; otherwise, for finite acc >= 0 below 2^1023 and finite
-/// h > 0, two adds and one exact jump per binade the sum crosses. Other
-/// inputs run the steps. Internal: the simulator's idle-harvest
+/// add_repeated_steps(acc, h, n) bit for bit: one add when h is zero,
+/// the n steps otherwise. Internal: the simulator's idle-harvest
 /// fast-forward, exposed so tests can pin it to add_repeated_steps.
 double add_repeated(double acc, double h, std::uint64_t n);
 

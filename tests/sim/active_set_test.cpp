@@ -178,10 +178,9 @@ TEST(ActiveSetEngine, OfdmTvCarrierMatchesReference) {
 }
 
 // Idle spans of up to thousands of slots with tags that harvest: the
-// only rows whose idle-harvest fast-forward (detail::add_repeated)
-// crosses many binades. fading-sweep redraws the channel per trial, so the
-// static-channel fold does not run there and every credit goes through
-// the active engine's catch-up.
+// only rows whose idle-harvest catch-up (detail::add_repeated) runs
+// long chains of nonzero adds. fading-sweep redraws the channel per
+// trial, so its increments differ from trial to trial.
 void expect_long_idle_harvest_agrees(NetworkSimConfig config) {
   config.slots_per_trial = 4096;
   config.backoff_min_slots = 2048;
