@@ -39,14 +39,10 @@ void FleetConfig::validate() const {
         "FleetConfig: grid_cell_m must be a finite positive bin size, "
         "got " + std::to_string(grid_cell_m));
   }
-  // The classifier only runs in the analytic-path modes (or when frame
-  // recording asks for it alongside kWaveform); only then does the
-  // anchor BER need a defined required SINR. A target at or above 0.5
-  // is inconsistent: Q^-1 goes non-positive and the clear-fail
-  // threshold would sit above clear-deliver.
-  const bool classifier_used =
-      fidelity != FidelityMode::kWaveform || record_frames;
-  if (classifier_used &&
+  // Only a running classifier needs the anchor BER's required SINR. A
+  // target at or above 0.5 is inconsistent: Q^-1 goes non-positive and
+  // the clear-fail threshold would sit above clear-deliver.
+  if (classifier_runs() &&
       !(analytic_target_ber > 0.0 && analytic_target_ber < 0.5)) {
     throw std::invalid_argument(
         "FleetConfig: analytic_target_ber must lie in (0, 0.5) when the "

@@ -100,6 +100,12 @@ struct FleetConfig {
   /// tests replay clear verdicts against ground truth.
   bool record_frames = false;
 
+  /// Whether the analytic classifier runs: in the analytic-path modes,
+  /// and alongside kWaveform when frames are recorded.
+  bool classifier_runs() const {
+    return fidelity != FidelityMode::kWaveform || record_frames;
+  }
+
   /// Rejects negative or non-finite margin bands, a zero/negative
   /// culling radius or grid cell, and (for the analytic-path modes and
   /// record_frames) an analytic_target_ber outside (0, 0.5) — such a
@@ -130,8 +136,8 @@ class FleetResolver {
   /// uses the worst-case swing a fault schedule leaves over the frame
   /// window (`delta_env_pess`, e.g. swing x min carrier/gateway scale),
   /// the optimistic arm the best case (`delta_env_opt`). With both
-  /// deltas equal this is exactly classify(delta, interf) — the
-  /// fault-free path never pays for the generality.
+  /// deltas equal this is exactly classify(delta, interf), which is how
+  /// the simulator calls it for a fault-free trial.
   LinkVerdict classify(double delta_env_pess, double delta_env_opt,
                        double worst_interferer_env_sum) const;
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -316,6 +317,13 @@ void NetworkSimConfig::validate() const {
           "fleet.cull_radius_m (the culled set is the out-of-range set "
           "relays exist to reach)");
     }
+    if (!(fleet.analytic_target_ber > 0.0 && fleet.analytic_target_ber < 0.5)) {
+      throw std::invalid_argument(
+          "NetworkSimConfig: relaying requires fleet.analytic_target_ber in "
+          "(0, 0.5) (every relay hop is judged by its margin over that "
+          "target's required SINR), got " +
+          std::to_string(fleet.analytic_target_ber));
+    }
   }
   if (failover_streak_frames > 0 &&
       combining != GatewayCombining::kBestGateway) {
@@ -504,15 +512,12 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
                             rates.samples_per_chip,
                             std::sqrt(config_.noise_power_w() / 2.0));
 
-  // Fleet engine: margin classifier (only built when a mode uses it —
-  // kWaveform without frame recording may carry an unchecked target
-  // BER) and the spatial-culling index. Each gateway queries its
+  // Fleet engine: margin resolver (only built when the classifier or a
+  // relay hop uses it — kWaveform without either may carry an unchecked
+  // target BER) and the spatial-culling index. Each gateway queries its
   // interference disk out of the tag-position grid; the union defines
   // the per-(tag, gateway) in-range mask and the culled set.
-  const bool classifier_used =
-      config_.fleet.fidelity != FidelityMode::kWaveform ||
-      config_.fleet.record_frames;
-  if (classifier_used) {
+  if (config_.fleet.classifier_runs() || config_.relay.enabled) {
     resolver_ = FleetResolver(config_.fleet,
                               std::sqrt(config_.noise_power_w() / 2.0),
                               rates.samples_per_chip);
@@ -680,8 +685,7 @@ NetworkSimulator::ChannelTables NetworkSimulator::build_channel(
   // exact for the block-static channel — in SoA layout (`delta` feeds
   // the classifier, `half` is the in-range-masked half-swing the
   // interference fold adds).
-  if (config_.fleet.fidelity != FidelityMode::kWaveform ||
-      config_.fleet.record_frames) {
+  if (config_.fleet.classifier_runs()) {
     auto delta = arena.alloc<float>(n_tags * n_gw);
     auto half = arena.alloc<float>(n_tags * n_gw);
     for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
@@ -812,7 +816,7 @@ struct NetworkSimulator::Trial {
   // the identical order, so only the verdict mechanism differs.
   const bool waveform_all = cfg.fleet.fidelity == FidelityMode::kWaveform;
   const bool hybrid = cfg.fleet.fidelity == FidelityMode::kHybrid;
-  const bool analytic_on = !waveform_all || cfg.fleet.record_frames;
+  const bool analytic_on = cfg.fleet.classifier_runs();
   const bool fd = sim.policy_->aborts_on_notify();  // notify aborts
   // Decode windows reach a couple of chips past the burst (RC group
   // delay shifts sync late by a fraction of a chip), never a full slot:
@@ -903,16 +907,13 @@ struct NetworkSimulator::Trial {
     std::span<cf32> win{};
     std::span<float> env{};
     std::vector<std::size_t> order;
-    // Demod memo: colliding frames that started in the same slot share
-    // the decode window at a gateway (its bounds derive from start_slot
-    // alone and built slots never change), so the receiver output is
-    // the same — only the per-tag payload comparison differs.
-    struct Demod {
-      std::uint32_t g;
-      std::uint64_t start;
-      core::FdRxResult r;
-    };
-    std::vector<Demod> demod;
+    // Demod memo, keyed on (gateway, start slot): colliding frames
+    // that started in the same slot share the decode window at a
+    // gateway (its bounds derive from start_slot alone and built slots
+    // never change), so the receiver output is the same — only the
+    // per-tag payload comparison differs. kWaveform decodes every window
+    // afresh until e13's 10k-tag hybrid gate moves (ROADMAP, sync item).
+    std::map<std::pair<std::size_t, std::uint64_t>, core::FdRxResult> demod;
   } esc;
 
   // Verdict resolver scratch: per-gateway analytic verdicts and margins
@@ -1499,9 +1500,8 @@ struct NetworkSimulator::Trial {
   [[gnu::noinline]] void resolve_hop(std::size_t k, std::uint64_t learn_slot,
                                      bool update_mac) {
     TagRt& tag = rt[k];
-    const double margin = analytic_margin_db(
-        ch.delta_tt[relay.link(k)], 0.0, std::sqrt(cfg.noise_power_w() / 2.0),
-        cfg.modem.data.rates.samples_per_chip, cfg.fleet.analytic_target_ber);
+    const double margin =
+        sim.resolver_.margin_db(ch.delta_tt[relay.link(k)], 0.0);
     QueuedFrame frame{tag.forwarding ? tag.fwd_originator
                                      : static_cast<std::uint32_t>(k),
                       tag.forwarding ? tag.fwd_hops + 1 : 1, tag.payload};
@@ -1554,25 +1554,21 @@ struct NetworkSimulator::Trial {
         }
         const double d = ch.delta[k * n_gw + g];
         const double interf = worst_interference(k, g);
-        if (has_faults) {
-          // The fault schedule scales the frame's swing slot by slot;
-          // the pessimistic arm gets the window minimum and the
-          // optimistic arm the window maximum — the same one-sided-safe
-          // bracketing the margin band provides for interference.
-          const double s_min = fplan.min_signal_scale(g, lo, lo + frame_slots);
-          const double s_max = fplan.max_signal_scale(g, lo, lo + frame_slots);
-          gw_verdict[g] = sim.resolver_.classify(d * s_min, d * s_max, interf);
-          gw_margin[g] = sim.resolver_.margin_db(d * s_min, interf);
-          if (own_stuck || own_shift > 0) {
-            gw_verdict[g] = LinkVerdict::kContested;
-          }
-        } else {
-          gw_verdict[g] = sim.resolver_.classify(d, interf);
-          gw_margin[g] = sim.resolver_.margin_db(d, interf);
-        }
-        if (fwd && gw_verdict[g] == LinkVerdict::kClearDeliver) {
-          // Relayed delivery is never claimed from the margin band
-          // alone: kHybrid escalates it, kAnalytic point-estimates.
+        // The fault schedule scales the frame's swing slot by slot; the
+        // pessimistic arm gets the window minimum and the optimistic arm
+        // the window maximum — the same one-sided-safe bracketing the
+        // margin band provides for interference. Without faults both
+        // scales are 1, and d * 1 is d.
+        const double s_min =
+            has_faults ? fplan.min_signal_scale(g, lo, lo + frame_slots) : 1.0;
+        const double s_max =
+            has_faults ? fplan.max_signal_scale(g, lo, lo + frame_slots) : 1.0;
+        gw_verdict[g] = sim.resolver_.classify(d * s_min, d * s_max, interf);
+        gw_margin[g] = sim.resolver_.margin_db(d * s_min, interf);
+        // Relayed delivery is never claimed from the margin band alone:
+        // kHybrid escalates it, kAnalytic point-estimates.
+        if (own_stuck || own_shift > 0 ||
+            (fwd && gw_verdict[g] == LinkVerdict::kClearDeliver)) {
           gw_verdict[g] = LinkVerdict::kContested;
         }
         if (gw_margin[g] > best_margin) {
@@ -1634,13 +1630,6 @@ struct NetworkSimulator::Trial {
     }
   }
 
-  /// Trial-sample bounds [lo, hi) of tag k's decode window.
-  std::pair<std::size_t, std::size_t> decode_window(std::size_t k) const {
-    const std::size_t lo =
-        static_cast<std::size_t>(rt[k].start_slot) * slot_samples;
-    return {lo, std::min(total, lo + sim.burst_samples_ + tail_samples)};
-  }
-
   /// The per-gateway decode check: counts a decode of tag k's frame at
   /// gateway g and returns whether it delivers the frame under the
   /// combining rule (any gateway, or the serving one).
@@ -1654,16 +1643,27 @@ struct NetworkSimulator::Trial {
 
   /// kWaveform: decodes tag k's window from every gateway's history.
   [[gnu::noinline]] bool decode_waveform(std::size_t k) {
-    const auto [lo, hi] = decode_window(k);
     bool delivered = false;
     for (std::size_t g = 0; g < n_gw; ++g) {
-      const auto window =
-          std::span<const float>(env_buf).subspan(g * total + lo, hi - lo);
-      if (decoded_at(k, g, sim.rx_.demodulate(window, {}, cfg.payload_bytes))) {
-        delivered = true;
-      }
+      delivered |= decoded_at(k, g, decode_window(g, rt[k].start_slot));
     }
     return delivered;
+  }
+
+  /// The receiver output over gateway g's decode window of frames that
+  /// started in slot `start`: trial samples [lo, hi), from the burst
+  /// start through a short sync tail. Both modes decode here and differ
+  /// only in where the envelope window comes from — kWaveform slices the
+  /// gateway's envelope history, kHybrid synthesizes the window.
+  core::FdRxResult decode_window(std::size_t g, std::uint64_t start) {
+    const std::size_t lo = static_cast<std::size_t>(start) * slot_samples;
+    const std::size_t hi =
+        std::min(total, lo + sim.burst_samples_ + tail_samples);
+    const std::span<const float> window =
+        waveform_all
+            ? std::span<const float>(env_buf).subspan(g * total + lo, hi - lo)
+            : escalated_window(g, lo, hi);
+    return sim.rx_.demodulate(window, {}, cfg.payload_bytes);
   }
 
   // --- Hybrid escalator --------------------------------------------------
@@ -1708,27 +1708,40 @@ struct NetworkSimulator::Trial {
     return slot_p;
   }
 
+  /// kHybrid: gateway g's envelope over trial samples [lo, hi). The
+  /// window's slots come out of the escalation cache, plus one warm-up
+  /// slot ahead of it that settles a fresh RC envelope state (the RC time
+  /// constant is a fraction of a chip); with frame recording on, the
+  /// whole envelope run folds into the gateway's digest.
+  std::span<const float> escalated_window(std::size_t g, std::size_t lo,
+                                          std::size_t hi) {
+    const std::size_t w0_slot = lo > 0 ? lo / slot_samples - 1 : 0;
+    const std::size_t hi_slot =
+        std::min(slots, (hi + slot_samples - 1) / slot_samples);
+    const std::size_t w0 = w0_slot * slot_samples;
+    const std::size_t win_samples = hi_slot * slot_samples - w0;
+    assert(win_samples <= esc.win.size());
+    ensure_ambient(hi_slot * slot_samples);
+    for (std::size_t s = w0_slot; s < hi_slot; ++s) {
+      std::memcpy(esc.win.data() + (s - w0_slot) * slot_samples,
+                  escalation_slot(g, s), slot_samples * sizeof(cf32));
+    }
+    dsp::EnvelopeDetector env = sim.synth_.make_envelope();
+    const auto env_out = esc.env.subspan(0, win_samples);
+    env.process(std::span<const cf32>(esc.win.data(), win_samples), env_out);
+    if (cfg.fleet.record_frames) fold_digest(res.envelope_digest[g], env_out);
+    return std::span<const float>(env_out).subspan(lo - w0, hi - lo);
+  }
+
   /// Escalated resolution of one contested frame (kHybrid): re-run the
   /// sample-level chain over this frame's decode window only, at the
-  /// contested gateways only, folding in-range logged frames only. One
-  /// warm-up slot ahead of the window settles the fresh RC envelope
-  /// state (the RC time constant is a fraction of a chip). Contested
-  /// gateways are tried best-margin-first and the loop exits on the
-  /// first delivering decode, so the remaining (weaker) gateways'
+  /// contested gateways only, folding in-range logged frames only.
+  /// Contested gateways are tried best-margin-first and the loop exits
+  /// on the first delivering decode, so the remaining (weaker) gateways'
   /// windows never need synthesizing: verdicts equal the exhaustive
   /// sweep's, only the per-gateway decode tallies stop accruing.
   [[gnu::noinline]] bool escalate(std::size_t k) {
     const auto esc_t0 = stages ? Clock::now() : Clock::time_point{};
-    const std::uint64_t start = rt[k].start_slot;
-    const auto [lo, hi] = decode_window(k);
-    const std::uint64_t w0_slot = start > 0 ? start - 1 : 0;
-    const std::size_t hi_slot =
-        std::min(slots, (hi + slot_samples - 1) / slot_samples);
-    const std::size_t w0 = static_cast<std::size_t>(w0_slot) * slot_samples;
-    const std::size_t win_samples = hi_slot * slot_samples - w0;
-    assert(win_samples <= esc.win.size());
-    ensure_ambient(hi_slot * slot_samples);
-
     esc.order.clear();
     for (std::size_t g = 0; g < n_gw; ++g) {
       if (gw_verdict[g] == LinkVerdict::kContested) esc.order.push_back(g);
@@ -1739,38 +1752,15 @@ struct NetworkSimulator::Trial {
                            ? gw_margin[a] > gw_margin[b]
                            : a < b;
               });
+    const std::uint64_t start = rt[k].start_slot;
     bool delivered = false;
     for (const std::size_t g : esc.order) {
       // A cluster peer that already demodulated this exact window built
       // every slot of it first, so reusing its result consumes no RNG
       // and changes no accounting.
-      const core::FdRxResult* rp = nullptr;
-      for (const auto& e : esc.demod) {
-        if (e.g == g && e.start == start) {
-          rp = &e.r;
-          break;
-        }
-      }
-      if (rp == nullptr) {
-        for (std::size_t s = w0_slot; s < hi_slot; ++s) {
-          std::memcpy(esc.win.data() + (s - w0_slot) * slot_samples,
-                      escalation_slot(g, s), slot_samples * sizeof(cf32));
-        }
-        dsp::EnvelopeDetector env = sim.synth_.make_envelope();
-        const auto env_out = esc.env.subspan(0, win_samples);
-        env.process(std::span<const cf32>(esc.win.data(), win_samples),
-                    env_out);
-        if (cfg.fleet.record_frames) {
-          fold_digest(res.envelope_digest[g], env_out);
-        }
-        esc.demod.push_back(
-            {static_cast<std::uint32_t>(g), start,
-             sim.rx_.demodulate(
-                 std::span<const float>(env_out).subspan(lo - w0, hi - lo),
-                 {}, cfg.payload_bytes)});
-        rp = &esc.demod.back().r;
-      }
-      if (decoded_at(k, g, *rp)) {
+      const auto [memo, fresh] = esc.demod.try_emplace({g, start});
+      if (fresh) memo->second = decode_window(g, start);
+      if (decoded_at(k, g, memo->second)) {
         delivered = true;
         break;
       }

@@ -246,6 +246,33 @@ TEST(NetworkSimConfigValidation, RejectsBadEnvelopeCutoffMult) {
   EXPECT_NO_THROW((void)NetworkSimulator(config));
 }
 
+TEST(NetworkSimConfigValidation, RejectsRelayWithUndefinedTargetBer) {
+  // Every relay hop is judged by its margin over the target BER's
+  // required SINR, in every fidelity mode. Pure kWaveform runs no
+  // classifier, so FleetConfig accepts any target there; with relaying
+  // on, 0.6 used to make each hop read qfunc_inv(0.6)^2 = 0.064 as its
+  // required SINR (about 22 dB too high) in Release.
+  auto config = make_scenario("warehouse-mesh", 24, 7).config;
+  config.fleet.fidelity = FidelityMode::kWaveform;
+  for (const double ber : {0.6, 0.5, 0.0, std::nan("")}) {
+    config.fleet.analytic_target_ber = ber;
+    try {
+      config.validate();
+      ADD_FAILURE() << "target BER " << ber << " accepted with relaying";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fleet.analytic_target_ber"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  config.fleet.analytic_target_ber = 1e-3;
+  EXPECT_NO_THROW(config.validate());
+  // Without relaying, pure kWaveform still never evaluates the target.
+  config.relay.enabled = false;
+  config.fleet.analytic_target_ber = 0.6;
+  EXPECT_NO_THROW(config.validate());
+}
+
 // ---------------------------------------------------------------------
 // Scheduled slotframe MAC (mac/schedule.hpp) under the network engine
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -446,6 +447,68 @@ TEST(NetworkSimGolden, OfdmTvHybridEnvelopeDigest) {
       {{0xcbf29ce484222325, 0xcbf29ce484222325},
        {0x3eec5e7ea80032a7, 0xdd382abc960a6eac},
        {0xcbf29ce484222325, 0xcbf29ce484222325}});
+}
+
+// A 500-tag warehouse scene whose trial 1 escalates frames that started
+// in the same slot: at gateways 1 and 3 the later frames reuse the
+// memoized decode of the shared window, so each window folds into the
+// digest once. A second fold on a memo hit would move those two words.
+TEST(NetworkSimGolden, HybridSharedWindowEnvelopeDigest) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  auto config = make_scenario("warehouse-10k", 500, 29).config;
+  config.slots_per_trial = 48;
+  config.fleet.fidelity = FidelityMode::kHybrid;
+  config.fleet.record_frames = true;
+  expect_envelope_digests(
+      config, {{0x1a426467abad3b45, 0xfa00a3c40ac5739a, 0x00f4bf73a4bdfae2,
+                0x1285a434c83edcd7},
+               {0x5cec8256016ee9cc, 0x6bb0f161832861b6, 0xf329068a37fbb8ed,
+                0xa18314c8cce7139a}});
+}
+
+// Per-gateway decode outcomes of the two-gateway waveform scene, trial
+// by trial: gateway_decodes and each frame record's verdict ('+'
+// delivered). Each gateway decodes every frame from its own envelope
+// history; in trial 2 gateway 1 misses a frame gateway 0 decodes, so a
+// decode handed from one gateway to the other moves a tally.
+TEST(NetworkSimGolden, TwoGatewayWaveformDecodeTallies) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  const NetworkSimulator sim(digest_config("cw", FidelityMode::kWaveform));
+  const struct {
+    std::vector<std::uint64_t> gateway_decodes;
+    std::string delivered;
+  } gold[] = {{{6, 6}, "++++++"}, {{5, 5}, "-+++++"}, {{8, 7}, "++++++++"}};
+  for (std::size_t t = 0; t < std::size(gold); ++t) {
+    const NetworkTrialResult r = sim.run_trial(t);
+    EXPECT_EQ(r.gateway_decodes, gold[t].gateway_decodes) << "trial " << t;
+    std::string delivered;
+    for (const FrameRecord& f : r.frames) delivered += f.delivered ? '+' : '-';
+    EXPECT_EQ(delivered, gold[t].delivered) << "trial " << t;
+  }
+}
+
+// Relaying under kWaveform: frames reach the gateways through the
+// sample-level chain, but every tag-to-tag hop is judged by the fleet
+// resolver's analytic margin, which the simulator therefore builds
+// whenever relaying is on.
+TEST(NetworkSimGolden, WarehouseMeshWaveformRelay) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  auto config = make_scenario("warehouse-mesh", 24, 7).config;
+  config.slots_per_trial = 160;
+  config.fleet.fidelity = FidelityMode::kWaveform;
+  const NetworkSimSummary s = NetworkSimulator(config).run(2);
+  EXPECT_EQ(s.relay_tx_frames, 8u);
+  EXPECT_EQ(s.relay_rx_frames, 16u);
+  EXPECT_EQ(s.relayed_delivered, 4u);
+  EXPECT_EQ(s.relay_drops, 8u);
+  EXPECT_EQ(s.relay_hops.count(), 4u);
+  EXPECT_EQ(s.relay_hops.mean(), 0x1p+1);
+  EXPECT_EQ(s.relay_hops.variance(), 0x0p+0);
+  const std::vector<std::uint64_t> gold_delivered = {
+      4, 4, 4, 2, 2, 0, 0, 0, 0, 0, 4, 4, 4, 2, 2, 0, 0, 0, 0, 0, 4, 4, 4, 4};
+  std::vector<std::uint64_t> delivered;
+  for (const auto& t : s.tags) delivered.push_back(t.frames_delivered);
+  EXPECT_EQ(delivered, gold_delivered);
 }
 
 // ---------------------------------------------------------------------
