@@ -59,7 +59,33 @@ FleetResolver::FleetResolver(const FleetConfig& config, double noise_sigma,
       fail_margin_db_(config.fail_margin_db),
       noise_sigma_(noise_sigma),
       n_avg_(n_avg),
-      required_sinr_(core::ook_required_sinr(config.analytic_target_ber)) {}
+      required_sinr_(core::ook_required_sinr(config.analytic_target_ber)) {
+  // clear_fail's band. Why a ratio r = sinr / required_sinr outside
+  // [lo, hi] gets the verdict of the log10 test fl(10 fl(log10 r)) <= -F
+  // (F = fail_margin_db), with R = 10^(-F/10) the exact real threshold:
+  //  - T = pow(10, fl(-F/10)): the quotient's rounding moves the
+  //    exponent by at most |F/10| 2^-53, so R by a factor within
+  //    ln(10) |F|/10 2^-53 < 2^-43 for |F| <= 3100; pow adds at most
+  //    an ulp. So |T/R - 1| < 2^-42. The band is on only for a finite
+  //    T >= 2^-1000, which needs |F| < 3083.
+  //  - For r = R(1 + eta), 10 log10 r = -F + 10 log10(1 + eta), at
+  //    least 4|eta| away from -F for |eta| <= 2^-20. glibc log10 is
+  //    within 2 ulp and the product by 10 rounds once more, so the
+  //    computed value is the real one times (1 + delta), |delta| <=
+  //    2^-50 (an ulp of the result: near r = 1, where log10 r is near 0,
+  //    too). It stays on the real value's side of -F while
+  //    4|eta| > |F| 2^-50, i.e. for |eta| > 2^-40.
+  //  - lo = T(1 - 2^-30), hi = T(1 + 2^-30), each rounded once: r < lo
+  //    puts eta below -2^-31, r > hi above 2^-31, both far outside
+  //    2^-40. r = 0 (< lo) is log10's -inf, clear-fail; r = +inf
+  //    (> hi) is +inf, not. NaN compares false both ways: log10 path.
+  constexpr double kBand = 0x1p-30;
+  const double t = std::pow(10.0, -fail_margin_db_ / 10.0);
+  if (std::isfinite(t) && t >= 0x1p-1000) {
+    clear_fail_lo_ = t * (1.0 - kBand);
+    clear_fail_hi_ = t * (1.0 + kBand);
+  }
+}
 
 double FleetResolver::margin_db(double delta_env,
                                 double interferer_env_sum) const {
@@ -79,12 +105,27 @@ LinkVerdict FleetResolver::classify(double delta_env,
 LinkVerdict FleetResolver::classify(double delta_env_pess,
                                     double delta_env_opt,
                                     double worst_interferer_env_sum) const {
-  const double pessimistic =
-      margin_db(delta_env_pess, worst_interferer_env_sum);
-  if (pessimistic >= deliver_margin_db_) return LinkVerdict::kClearDeliver;
-  const double optimistic = margin_db(delta_env_opt, 0.0);
-  if (optimistic <= -fail_margin_db_) return LinkVerdict::kClearFail;
+  return classify_margin(margin_db(delta_env_pess, worst_interferer_env_sum),
+                         delta_env_opt);
+}
+
+LinkVerdict FleetResolver::classify_margin(double pessimistic_margin_db,
+                                           double delta_env_opt) const {
+  if (pessimistic_margin_db >= deliver_margin_db_) {
+    return LinkVerdict::kClearDeliver;
+  }
+  if (clear_fail(delta_env_opt)) return LinkVerdict::kClearFail;
   return LinkVerdict::kContested;
+}
+
+bool FleetResolver::clear_fail(double delta_env_opt) const {
+  if (!(delta_env_opt > 0.0)) return true;  // margin_db's -inf
+  const double r =
+      core::envelope_sinr(delta_env_opt, 0.0, noise_sigma_, n_avg_) /
+      required_sinr_;
+  if (r < clear_fail_lo_) return true;
+  if (r > clear_fail_hi_) return false;
+  return 10.0 * std::log10(r) <= -fail_margin_db_;
 }
 
 CullingGrid::CullingGrid(std::span<const channel::Vec2> points,

@@ -141,14 +141,30 @@ class FleetResolver {
   LinkVerdict classify(double delta_env_pess, double delta_env_opt,
                        double worst_interferer_env_sum) const;
 
+  /// classify(delta_env_pess, delta_env_opt, interf) from the
+  /// pessimistic margin already computed, `pessimistic_margin_db` ==
+  /// margin_db(delta_env_pess, interf): the simulator needs that margin
+  /// for gateway ranking anyway, so the verdict costs no second log10.
+  /// The optimistic arm is decided in the linear domain (see fleet.cpp).
+  LinkVerdict classify_margin(double pessimistic_margin_db,
+                              double delta_env_opt) const;
+
   double required_sinr() const { return required_sinr_; }
 
  private:
+  /// Whether margin_db(delta_env_opt, 0) <= -fail_margin_db.
+  bool clear_fail(double delta_env_opt) const;
+
   double deliver_margin_db_ = 6.0;
   double fail_margin_db_ = 5.0;
   double noise_sigma_ = 1.0;
   std::size_t n_avg_ = 1;
   double required_sinr_ = 1.0;
+  // clear_fail's linear band around the SINR ratio 10^(-fail_margin/10):
+  // below lo it is clear-fail, above hi it is not, in between (and for
+  // NaN) log10 decides. The defaults send every ratio to log10.
+  double clear_fail_lo_ = -std::numeric_limits<double>::infinity();
+  double clear_fail_hi_ = std::numeric_limits<double>::infinity();
 };
 
 /// Uniform 2D bin index over a fixed point set. Queries enumerate only

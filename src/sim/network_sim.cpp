@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "channel/ambient_source.hpp"
@@ -74,32 +75,34 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 /// Runtime MAC and frame state of one tag inside a trial. The
 /// slot-domain machine mirrors mac/collision.cpp, but verdicts come from
 /// the PHY (or its analytic stand-in) instead of the abstract collided
-/// flag, and starts are gated by the energy store.
+/// flag, and starts are gated by the energy store. The current frame's
+/// payload and (kWaveform) antenna states live in the trial's side
+/// stores, so the record is small and trivially destructible: a trial
+/// carves all of them from its arena, and every per-tag sweep reads
+/// 48 bytes a tag.
 struct TagRt {
-  // User-provided (not `= default`) so std::vector<TagRt>(n) skips the
-  // zero fill of value-initialisation: ~1 MB per 10k-tag trial.
-  TagRt() {}
-  enum class St { kBackoff, kTx, kWaitVerdict };
-  St st = St::kBackoff;
-  std::size_t counter = 0;   // slots remaining in backoff / verdict wait
-  std::size_t progress = 0;  // on-air slots of the current frame
-  mac::TagMacState mac;      // policy state (failure class / BEB exponent)
-  bool wait_entered_now = false;  // countdown scan: skip the entry slot
+  enum class St : std::uint8_t { kBackoff, kTx, kWaitVerdict };
+  std::size_t counter = 0;  // slots remaining in backoff / verdict wait
+  mac::TagMacState mac;     // policy state (failure class / BEB exponent)
 
-  // Current frame attempt.
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> states;  // per-sample antenna states
-  std::uint64_t start_slot = 0;
-  bool overlapped = false;
-  std::uint64_t overlap_start = 0;
+  // Current frame attempt. Slot indices fit 32 bits (validate()).
+  std::uint32_t progress = 0;  // on-air slots of the current frame
+  std::uint32_t start_slot = 0;
+  std::uint32_t overlap_start = 0;
   std::uint32_t frame_id = 0;  // index into the hybrid-mode frame log
 
-  // Relaying: set when the current frame is a forward of another tag's
-  // traffic rather than fresh local data.
-  bool forwarding = false;
+  // Relaying: the originator and hops taken of a forward of another
+  // tag's traffic (`forwarding`) rather than fresh local data.
   std::uint32_t fwd_originator = 0;
-  std::uint32_t fwd_hops = 0;  // hops the forward has already taken
+  std::uint32_t fwd_hops = 0;
+
+  St st = St::kBackoff;
+  bool wait_entered_now = false;  // countdown scan: skip the entry slot
+  bool overlapped = false;
+  bool forwarding = false;
 };
+static_assert(std::is_trivially_destructible_v<TagRt>);
+static_assert(sizeof(TagRt) <= 48);
 
 /// One started frame in the hybrid-mode log. The analytic fast path
 /// never modulates antenna states; an escalated window regenerates them
@@ -297,6 +300,13 @@ void NetworkSimConfig::validate() const {
         "NetworkSimConfig: slots_per_trial must be at most 2^32 - 1 "
         "(4294967295), got " +
         std::to_string(slots_per_trial));
+  }
+  // A 0-byte frame carries no bits yet "delivers" whenever its
+  // preamble syncs.
+  if (payload_bytes == 0) {
+    throw std::invalid_argument(
+        "NetworkSimConfig: payload_bytes must be positive (a frame needs "
+        "at least one payload byte)");
   }
   if (!(notify_slots_per_m >= 0.0)) {
     throw std::invalid_argument(
@@ -846,7 +856,13 @@ struct NetworkSimulator::Trial {
   RelayFabric relay = relay_on
                           ? RelayFabric(sim.relay_topo_, cfg.relay, frame_slots)
                           : RelayFabric();
-  std::vector<TagRt> rt = std::vector<TagRt>(n_tags);
+  // Per-tag runtime state (constructed with the opening waits below),
+  // the current frames' payloads, n_tags x payload_bytes, and the
+  // kWaveform-only modulated antenna states.
+  std::span<TagRt> rt = arena.alloc<TagRt>(n_tags);
+  std::span<std::uint8_t> payloads =
+      arena.alloc<std::uint8_t>(n_tags * cfg.payload_bytes);
+  std::vector<std::vector<std::uint8_t>> wave_states;
   EnergyTracker energy{cfg, ch.h_idle, ch.h_act, sim.slot_seconds(),
                        res.tags, arena};
 
@@ -1001,8 +1017,10 @@ struct NetworkSimulator::Trial {
     // order the pre-extraction loop did, the scheduled policy computes
     // cell distances without touching it.
     active.reserve(n_tags);
+    if (waveform_all) wave_states.resize(n_tags);
     for (std::size_t k = 0; k < n_tags; ++k) {
-      rt[k].counter = sim.policy_->initial_wait(k, rt[k].mac, rng);
+      TagRt& tag = *std::construct_at(&rt[k]);
+      tag.counter = sim.policy_->initial_wait(k, tag.mac, rng);
     }
     if constexpr (ActiveSet) {
       headA = arena.alloc<std::uint32_t>(slots);
@@ -1091,9 +1109,10 @@ struct NetworkSimulator::Trial {
   /// the draw sequence is a pure function of the queue evolution.
   void start_frame(std::size_t k, std::uint64_t slot) {
     TagRt& tag = rt[k];
+    const std::span<std::uint8_t> bytes = payload(k);
     tag.st = TagRt::St::kTx;
     tag.progress = 0;
-    tag.start_slot = slot;
+    tag.start_slot = static_cast<std::uint32_t>(slot);
     tag.overlapped = false;
     tag.forwarding = false;
     if (relay_on) {
@@ -1101,13 +1120,13 @@ struct NetworkSimulator::Trial {
         tag.forwarding = true;
         tag.fwd_originator = f->originator;
         tag.fwd_hops = f->hops;
-        tag.payload = std::move(f->payload);
+        assert(f->payload.size() == bytes.size());
+        std::copy(f->payload.begin(), f->payload.end(), bytes.begin());
       }
     }
     if (!tag.forwarding) {
       ++res.tags[k].frames_attempted;
-      tag.payload.resize(cfg.payload_bytes);
-      for (auto& byte : tag.payload) {
+      for (auto& byte : bytes) {
         byte = static_cast<std::uint8_t>(rng.uniform_int(256));
       }
     }
@@ -1115,13 +1134,18 @@ struct NetworkSimulator::Trial {
     // per-slot synthesis (kWaveform) now, escalated windows (kHybrid)
     // lazily from the frame log, never in kAnalytic.
     if (waveform_all) {
-      tag.states = frame_states(static_cast<std::uint32_t>(k), slot,
-                                tag.payload);
+      wave_states[k] =
+          frame_states(static_cast<std::uint32_t>(k), slot, bytes);
     } else if (hybrid) {
       tag.frame_id = static_cast<std::uint32_t>(esc.frame_log.size());
-      esc.frame_log.push_back(
-          {static_cast<std::uint32_t>(k), slot, tag.payload, {}});
+      esc.frame_log.push_back({static_cast<std::uint32_t>(k), slot,
+                               {bytes.begin(), bytes.end()}, {}});
     }
+  }
+
+  /// Tag k's current frame payload.
+  std::span<std::uint8_t> payload(std::size_t k) const {
+    return payloads.subspan(k * cfg.payload_bytes, cfg.payload_bytes);
   }
 
   /// Phase C for on-air tag k: progress, overlap, aborts, frame end.
@@ -1131,7 +1155,7 @@ struct NetworkSimulator::Trial {
     ++tag.progress;
     if (collision_now && !tag.overlapped) {
       tag.overlapped = true;
-      tag.overlap_start = slot;
+      tag.overlap_start = static_cast<std::uint32_t>(slot);
     }
     if (energy.take_brownout(k)) {
       // Storage emptied under the switch drive: the frame dies on air.
@@ -1235,13 +1259,14 @@ struct NetworkSimulator::Trial {
   /// the stats without MAC consequences. Frames still sitting in
   /// forwarding queues never reached a gateway: fabric drops.
   NetworkTrialResult finish(Clock::time_point t_loop) {
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      if (rt[k].st == TagRt::St::kWaitVerdict) {
-        resolve_frame(k, slots - 1, /*update_mac=*/false);
+    if (n_waiting > 0) {
+      for (std::size_t k = 0; k < n_tags; ++k) {
+        if (rt[k].st == TagRt::St::kWaitVerdict) {
+          resolve_frame(k, slots - 1, /*update_mac=*/false);
+        }
       }
-      rt[k].st = TagRt::St::kBackoff;
-      energy.settle(k, slots);
     }
+    for (std::size_t k = 0; k < n_tags; ++k) energy.settle(k, slots);
     res.relay_drops += relay.backlog();
     if (waveform_all && cfg.fleet.record_frames) {
       fold_histories(res.envelope_digest, env_buf, total);
@@ -1295,9 +1320,9 @@ struct NetworkSimulator::Trial {
   [[gnu::noinline]] void synthesize_slot(std::uint64_t slot) {
     const std::size_t base = static_cast<std::size_t>(slot) * slot_samples;
     for (std::size_t e = 0; e < active.size(); ++e) {
-      const TagRt& tag = rt[active[e]];
-      mask_ptrs[e] = tag.states.data() +
-                     static_cast<std::size_t>(slot - tag.start_slot) *
+      const std::size_t k = active[e];
+      mask_ptrs[e] = wave_states[k].data() +
+                     static_cast<std::size_t>(slot - rt[k].start_slot) *
                          slot_samples;
     }
     for (std::size_t g = 0; g < n_gw; ++g) {
@@ -1386,11 +1411,11 @@ struct NetworkSimulator::Trial {
   /// semantics) makes every slot of the frame a plain pointer view.
   std::vector<std::uint8_t> frame_states(
       std::uint32_t k, std::uint64_t start_slot,
-      const std::vector<std::uint8_t>& payload) const {
-    std::vector<std::uint8_t> states = sim.tx_.modulate(payload);
-    states.resize(frame_slots * slot_samples, 0);
-    if (has_faults) apply_tag_fault_states(k, start_slot, states);
-    return states;
+      std::span<const std::uint8_t> bytes) const {
+    std::vector<std::uint8_t> out = sim.tx_.modulate(bytes);
+    out.resize(frame_slots * slot_samples, 0);
+    if (has_faults) apply_tag_fault_states(k, start_slot, out);
+    return out;
   }
 
   /// A stuck switch pins every sample of the fault-covered slots to the
@@ -1502,9 +1527,11 @@ struct NetworkSimulator::Trial {
     TagRt& tag = rt[k];
     const double margin =
         sim.resolver_.margin_db(ch.delta_tt[relay.link(k)], 0.0);
+    const std::span<const std::uint8_t> bytes = payload(k);
     QueuedFrame frame{tag.forwarding ? tag.fwd_originator
                                      : static_cast<std::uint32_t>(k),
-                      tag.forwarding ? tag.fwd_hops + 1 : 1, tag.payload};
+                      tag.forwarding ? tag.fwd_hops + 1 : 1,
+                      {bytes.begin(), bytes.end()}};
     const bool delivered = relay.resolve_hop(
         k, !tag.overlapped, margin, std::move(frame), learn_slot, res);
     if (update_mac) sim.policy_->on_outcome(k, delivered, tag.mac);
@@ -1563,8 +1590,8 @@ struct NetworkSimulator::Trial {
             has_faults ? fplan.min_signal_scale(g, lo, lo + frame_slots) : 1.0;
         const double s_max =
             has_faults ? fplan.max_signal_scale(g, lo, lo + frame_slots) : 1.0;
-        gw_verdict[g] = sim.resolver_.classify(d * s_min, d * s_max, interf);
         gw_margin[g] = sim.resolver_.margin_db(d * s_min, interf);
+        gw_verdict[g] = sim.resolver_.classify_margin(gw_margin[g], d * s_max);
         // Relayed delivery is never claimed from the margin band alone:
         // kHybrid escalates it, kAnalytic point-estimates.
         if (own_stuck || own_shift > 0 ||
@@ -1636,7 +1663,7 @@ struct NetworkSimulator::Trial {
   bool decoded_at(std::size_t k, std::size_t g, const core::FdRxResult& r) {
     const bool ok = r.status != Status::kSyncNotFound &&
                     r.blocks.blocks_failed == 0 &&
-                    r.blocks.payload == rt[k].payload;
+                    std::ranges::equal(r.blocks.payload, payload(k));
     if (ok) ++res.gateway_decodes[g];
     return ok && failover.listens(k, g);
   }
@@ -1779,7 +1806,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
   Trial<ActiveSet> t(*this, trial_index, arena, stages);
   const std::size_t n_tags = t.n_tags;
   const std::size_t slots = t.slots;
-  std::vector<TagRt>& rt = t.rt;
+  const std::span<TagRt> rt = t.rt;
   std::vector<std::size_t>& active = t.active;
   const auto t_loop = stages ? Clock::now() : Clock::time_point{};
   if (stages) {

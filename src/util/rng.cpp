@@ -19,6 +19,18 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 }  // namespace
 
+namespace detail {
+
+void uniform_int_empty_range() {
+  // An empty range has no valid result. Fail loudly in release builds
+  // too: the `(-n) % n` reduction would otherwise be a division by zero
+  // (undefined behaviour) that only a sanitizer run would catch.
+  std::fputs("fdb::Rng::uniform_int: n must be > 0\n", stderr);
+  std::abort();
+}
+
+}  // namespace detail
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
@@ -29,26 +41,6 @@ Rng::result_type Rng::operator()() { return detail::xoshiro_next(s_); }
 double Rng::uniform() { return detail::unit_double((*this)()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-std::uint64_t Rng::uniform_int(std::uint64_t n) {
-  assert(n > 0);
-  if (n == 0) {
-    // An empty range has no valid result. Fail loudly in release builds
-    // too: the `(-n) % n` below would otherwise be a division by zero
-    // (undefined behaviour) that only a sanitizer run would catch.
-    std::fputs("fdb::Rng::uniform_int: n must be > 0\n", stderr);
-    std::abort();
-  }
-  // Lemire's nearly-divisionless bounded integers with rejection.
-  const std::uint64_t threshold = (-n) % n;
-  for (;;) {
-    const std::uint64_t r = (*this)();
-    const unsigned __int128 m = static_cast<unsigned __int128>(r) * n;
-    if (static_cast<std::uint64_t>(m) >= threshold) {
-      return static_cast<std::uint64_t>(m >> 64);
-    }
-  }
-}
 
 double Rng::normal() {
   if (has_cached_normal_) {

@@ -35,6 +35,10 @@ inline std::uint64_t xoshiro_next(std::array<std::uint64_t, 4>& s) {
   return result;
 }
 
+/// Rng::uniform_int's n == 0 failure: prints a message and aborts.
+/// Cold and out of line, so the inline draw carries only its branch.
+[[noreturn, gnu::cold]] void uniform_int_empty_range();
+
 /// 53 random mantissa bits of a raw output -> uniform double in [0, 1).
 inline double unit_double(std::uint64_t raw) {
   return static_cast<double>(raw >> 11) * 0x1.0p-53;
@@ -105,7 +109,24 @@ class Rng {
   /// no valid result. Violations abort with a message in every build
   /// mode (never silent UB; the bounded-integer reduction would divide
   /// by zero).
-  std::uint64_t uniform_int(std::uint64_t n);
+  std::uint64_t uniform_int(std::uint64_t n) {
+    if (n == 0) [[unlikely]] detail::uniform_int_empty_range();
+    // Lemire's nearly-divisionless bounded integers with rejection: a
+    // draw is accepted when the low half of r·n is at least (-n) % n.
+    // That threshold is below n, so a low half >= n accepts without the
+    // 64-bit division; only a low half below n computes it. Accepted
+    // draws, and so the values and the generator state, are those of
+    // the always-divide form (tests/util/rng_test pins it).
+    unsigned __int128 m =
+        static_cast<unsigned __int128>(detail::xoshiro_next(s_)) * n;
+    if (static_cast<std::uint64_t>(m) < n) [[unlikely]] {
+      const std::uint64_t threshold = (-n) % n;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<unsigned __int128>(detail::xoshiro_next(s_)) * n;
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Standard normal via Box-Muller (cached second deviate).
   double normal();

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "channel/scene.hpp"
+#include "core/theory.hpp"
 #include "sim/network_sim.hpp"
 #include "util/rng.hpp"
 
@@ -155,6 +160,148 @@ TEST(FleetResolver, DeepFadeIsClearFail) {
   EXPECT_EQ(resolver.classify(0.01, 0.0), LinkVerdict::kClearFail);
   // Zero swing is -inf margin.
   EXPECT_EQ(resolver.classify(0.0, 0.0), LinkVerdict::kClearFail);
+}
+
+// The classifier as it was written before the linear clear-fail band:
+// three log10 calls, the pessimistic margin, the optimistic margin, and
+// the pessimistic margin again for ranking. FleetResolver must agree
+// with it on every input.
+struct Log10Reference {
+  FleetConfig config;
+  double sigma;
+  std::size_t n_avg;
+  double required;
+
+  double margin(double delta, double interf) const {
+    if (!(delta > 0.0)) return -kInf;
+    return 10.0 * std::log10(
+                      core::envelope_sinr(delta, interf, sigma, n_avg) /
+                      required);
+  }
+  LinkVerdict classify(double pess, double opt, double interf) const {
+    if (margin(pess, interf) >= config.deliver_margin_db) {
+      return LinkVerdict::kClearDeliver;
+    }
+    if (margin(opt, 0.0) <= -config.fail_margin_db) {
+      return LinkVerdict::kClearFail;
+    }
+    return LinkVerdict::kContested;
+  }
+};
+
+// Swing whose zero-interference SINR ratio to the target is `ratio`,
+// and whose SINR against `interf` is `ratio` for the pessimistic arm.
+double swing_for_ratio(const Log10Reference& ref, double ratio,
+                       double interf) {
+  const double half_i = interf / 2.0;
+  const double denom =
+      half_i * half_i + ref.sigma * ref.sigma / static_cast<double>(ref.n_avg);
+  return 2.0 * std::sqrt(ratio * ref.required * denom);
+}
+
+::testing::AssertionResult agrees(const FleetResolver& resolver,
+                                  const Log10Reference& ref, double pess,
+                                  double opt, double interf) {
+  const LinkVerdict want = ref.classify(pess, opt, interf);
+  const LinkVerdict got = resolver.classify(pess, opt, interf);
+  const double m = resolver.margin_db(pess, interf);
+  const LinkVerdict got_m = resolver.classify_margin(m, opt);
+  const double want_m = ref.margin(pess, interf);
+  const bool same_margin =
+      std::isnan(m) ? std::isnan(want_m)
+                    : std::bit_cast<std::uint64_t>(m) ==
+                          std::bit_cast<std::uint64_t>(want_m);
+  if (got == want && got_m == want && same_margin) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "fail " << ref.config.fail_margin_db
+         << " deliver " << ref.config.deliver_margin_db << " sigma "
+         << ref.sigma << " pess " << pess << " opt " << opt << " interf "
+         << interf << ": verdict " << static_cast<int>(got) << "/"
+         << static_cast<int>(got_m) << " vs " << static_cast<int>(want);
+}
+
+TEST(FleetResolver, ClassifyMatchesLog10Reference) {
+  Rng rng(0x10910);
+  const auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  // Margin bands from the defaults to the extremes: F = 0 puts the
+  // clear-fail ratio at 1, F = 3000 near the smallest normal threshold
+  // the band serves, F = 3200 past it (log10 decides every ratio).
+  std::vector<std::pair<double, double>> bands = {
+      {5.0, 6.0}, {0.0, 0.0}, {0.5, 3.0}, {7.3, 0.25}, {3000.0, 40.0},
+      {3200.0, 6.0}};
+  for (int i = 0; i < 24; ++i) {
+    bands.push_back({rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0)});
+  }
+  const double sigmas[] = {0.05, 0.013, 0.0};
+  std::vector<std::pair<FleetResolver, Log10Reference>> cases;
+  for (const auto& [fail, deliver] : bands) {
+    for (const double sigma : sigmas) {
+      FleetConfig config;
+      config.fail_margin_db = fail;
+      config.deliver_margin_db = deliver;
+      const std::size_t n_avg = 1 + rng.uniform_int(8);
+      const FleetResolver resolver(config, sigma, n_avg);
+      cases.push_back(
+          {resolver, {config, sigma, n_avg, resolver.required_sinr()}});
+    }
+  }
+
+  // Random (pessimistic swing, optimistic swing, interference) triples
+  // at the default band, swings log-uniform across both thresholds.
+  {
+    const auto& [resolver, ref] = cases.front();
+    for (int i = 0; i < 10000000; ++i) {
+      const double pess = log_uniform(1e-4, 10.0);
+      const double opt = pess * log_uniform(1.0, 4.0);
+      const double interf = rng.uniform() < 0.25 ? 0.0 : log_uniform(1e-4, 4.0);
+      ASSERT_TRUE(agrees(resolver, ref, pess, opt, interf));
+    }
+  }
+
+  // Swings within +-4 ulp of each threshold's ratio, every band.
+  for (const auto& [resolver, ref] : cases) {
+    const double fail_ratio = std::pow(10.0, -ref.config.fail_margin_db / 10.0);
+    const double deliver_ratio =
+        std::pow(10.0, ref.config.deliver_margin_db / 10.0);
+    for (const double interf : {0.0, 0.01, 0.3}) {
+      const double opt0 = swing_for_ratio(ref, fail_ratio, 0.0);
+      const double pess0 = swing_for_ratio(ref, deliver_ratio, interf);
+      double opt = opt0;
+      for (int u = 0; u < 4; ++u) opt = std::nextafter(opt, 0.0);
+      for (int a = -4; a <= 4; ++a, opt = std::nextafter(opt, kInf)) {
+        double pess = pess0;
+        for (int u = 0; u < 4; ++u) pess = std::nextafter(pess, 0.0);
+        for (int b = -4; b <= 4; ++b, pess = std::nextafter(pess, kInf)) {
+          ASSERT_TRUE(agrees(resolver, ref, pess, opt, interf));
+          ASSERT_TRUE(agrees(resolver, ref, std::min(pess, opt), opt, interf));
+        }
+      }
+    }
+  }
+
+  // Zero, negative, NaN and infinite swings, and infinite interference.
+  const double specials[] = {0.0,
+                             -0.0,
+                             -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             0.05};
+  for (const auto& [resolver, ref] : cases) {
+    for (const double pess : specials) {
+      for (const double opt : specials) {
+        for (const double interf : {0.0, 0.2, kInf}) {
+          ASSERT_TRUE(agrees(resolver, ref, pess, opt, interf));
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------------

@@ -213,6 +213,22 @@ TEST(NetworkSimConfigValidation, RejectsSlotsPerTrialPastUint32) {
   EXPECT_NO_THROW(config.validate());
 }
 
+TEST(NetworkSimConfigValidation, RejectsZeroPayloadBytes) {
+  // A 0-byte frame "delivered" whenever its preamble synced and carried
+  // 0 bits.
+  auto config = small_config();
+  config.payload_bytes = 0;
+  try {
+    (void)NetworkSimulator(config);
+    FAIL() << "payload_bytes 0 should be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("payload_bytes"), std::string::npos)
+        << e.what();
+  }
+  config.payload_bytes = 1;
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(NetworkSimConfigValidation, RejectsNegativeNotifySlope) {
   auto config = small_config();
   config.notify_slots_per_m = -0.25;  // would underflow the latency

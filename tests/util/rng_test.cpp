@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -153,6 +154,69 @@ TEST(Rng, SubstreamDiffersFromPlainSeed) {
     if (plain() == sub()) ++same;
   }
   EXPECT_EQ(same, 0);
+}
+
+// The always-divide form of Lemire's bounded draw: computes (-n) % n
+// on every call. Rng::uniform_int must accept exactly the same draws.
+std::uint64_t uniform_int_divide(Rng& rng, std::uint64_t n) {
+  const std::uint64_t threshold = (-n) % n;
+  for (;;) {
+    const unsigned __int128 m = static_cast<unsigned __int128>(rng()) * n;
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+  }
+}
+
+// Two generators are in the same state when their next four raw outputs
+// agree (xoshiro256++'s state is four words); copies are compared, so
+// neither argument advances.
+bool same_state(Rng a, Rng b) {
+  for (int i = 0; i < 4; ++i) {
+    if (a() != b()) return false;
+  }
+  return true;
+}
+
+// Draws uniform_int(n) from `fast` and the reference from `ref`, and
+// fails on the first call whose value or resulting state differs.
+::testing::AssertionResult draw_matches(Rng& fast, Rng& ref,
+                                        std::uint64_t n) {
+  const std::uint64_t got = fast.uniform_int(n);
+  const std::uint64_t want = uniform_int_divide(ref, n);
+  if (got != want) {
+    return ::testing::AssertionFailure()
+           << "n " << n << ": value " << got << " vs " << want;
+  }
+  if (!same_state(fast, ref)) {
+    return ::testing::AssertionFailure() << "n " << n << ": state differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RngUniformInt, MatchesDivisionForm) {
+  Rng fast(0x5eed), ref(0x5eed);
+  std::vector<std::uint64_t> ns = {1, 2, 3, 255, 256, 257,
+                                   (std::uint64_t{1} << 63) + 1,
+                                   ~std::uint64_t{0}};
+  for (int b = 0; b < 64; ++b) ns.push_back(std::uint64_t{1} << b);
+  for (const std::uint64_t n : ns) {
+    for (int i = 0; i < 4096; ++i) ASSERT_TRUE(draw_matches(fast, ref, n));
+  }
+  // Random n of every magnitude: a raw draw shifted right by 0..63.
+  Rng pick(11);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t n = std::max<std::uint64_t>(pick() >> (pick() % 64), 1);
+    ASSERT_TRUE(draw_matches(fast, ref, n));
+  }
+  // Long streams: payload bytes (n = 256) and a power-of-two window
+  // sweep, n = 32768 * 2^k, as contention backoff windows draw.
+  for (int i = 0; i < 10000000; ++i) {
+    ASSERT_TRUE(draw_matches(fast, ref, 256));
+  }
+  for (int i = 0; i < 10000000; ++i) {
+    ASSERT_TRUE(draw_matches(fast, ref, std::uint64_t{32768} << (i % 49)));
+  }
 }
 
 TEST(RngDeathTest, UniformIntZeroFailsLoudly) {

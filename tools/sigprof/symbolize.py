@@ -2,6 +2,7 @@
 """Per-symbol shares of the samples sigprof.c recorded.
 
   python3 tools/sigprof/symbolize.py sigprof.<pid> [more files] [--top N]
+      [--lines BINARY]
 
 Each sampled instruction pointer is mapped through the process's
 /proc/self/maps to an object file and an ELF virtual address, and from
@@ -9,6 +10,13 @@ there to the symbol that covers it, using `nm` (the static symbol table,
 or the dynamic one for stripped libraries such as libc and libm, where a
 share goes to the nearest exported symbol below). Prints each symbol's
 share of all samples, then each object's share. Linux x86-64 ELF only.
+
+--lines BINARY adds a table of per-`file:line` shares: samples that fell
+in BINARY (the profiled program, matched by path or else by file name)
+go through `addr2line` to the source line they executed, the innermost
+inlined one; samples elsewhere count under their object's name. BINARY
+needs debug line info: build it with -DCMAKE_CXX_FLAGS=-g, which adds
+the tables and leaves the generated code alone.
 """
 import bisect
 import collections
@@ -84,12 +92,15 @@ class Object:
         self.symbols = load_symbols(path) if self.segments else []
         self.addrs = [s[0] for s in self.symbols]
 
-    def symbol(self, file_offset):
-        vaddr = None
+    def vaddr(self, file_offset):
+        """ELF virtual address of a file offset; None outside PT_LOAD."""
         for off, base, size in self.segments:
             if off <= file_offset < off + size:
-                vaddr = base + file_offset - off
-                break
+                return base + file_offset - off
+        return None
+
+    def symbol(self, file_offset):
+        vaddr = self.vaddr(file_offset)
         if vaddr is None:
             return "?"
         i = bisect.bisect_right(self.addrs, vaddr) - 1
@@ -103,17 +114,60 @@ class Object:
         return name
 
 
+def same_file(a, b):
+    """Whether two paths name one file: the same inode, else (a profile
+    read on another machine or from a copy) the same file name."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.basename(a) == os.path.basename(b)
+
+
+def source_lines(binary, vaddrs):
+    """{vaddr: "dir/file:line"} through one addr2line call over BINARY."""
+    vaddrs = sorted(vaddrs)
+    out = subprocess.run(
+        ["addr2line", "-e", binary],
+        input="".join("%x\n" % a for a in vaddrs),
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    if len(out) != len(vaddrs):
+        sys.exit("symbolize: addr2line returned %d lines for %d addresses"
+                 % (len(out), len(vaddrs)))
+    lines = {}
+    for a, loc in zip(vaddrs, out):
+        loc = loc.split(" (discriminator")[0]
+        path, _, line = loc.rpartition(":")
+        # The parent directory keeps src/sim/x.cpp apart from tests/sim/x.cpp
+        # while staying short.
+        short = os.path.join(os.path.basename(os.path.dirname(path)),
+                             os.path.basename(path)) if path else "??"
+        lines[a] = "%s:%s" % (short, line)
+    return lines
+
+
+def take_option(argv, flag, convert):
+    if flag not in argv:
+        return None
+    i = argv.index(flag)
+    if i + 1 >= len(argv):
+        sys.exit("symbolize: %s needs a value" % flag)
+    value = convert(argv[i + 1])
+    del argv[i:i + 2]
+    return value
+
+
 def main(argv):
-    top = 40
-    if "--top" in argv:
-        i = argv.index("--top")
-        top = int(argv[i + 1])
-        del argv[i:i + 2]
+    top = take_option(argv, "--top", int) or 40
+    lines_binary = take_option(argv, "--lines", str)
     if not argv:
         sys.exit(__doc__)
+    if lines_binary is not None and not os.path.isfile(lines_binary):
+        sys.exit("symbolize: --lines: no such file %s" % lines_binary)
     objects = {}
+    by_line = collections.Counter()  # filled only with --lines
     by_symbol = collections.Counter()
     by_object = collections.Counter()
+    by_vaddr = collections.Counter()  # samples in --lines BINARY
     total = 0
     for path in argv:
         pcs, maps = read_profile(path)
@@ -131,6 +185,12 @@ def main(argv):
                 obj = objects[obj_path] = Object(obj_path)
             by_symbol[(obj.symbol(pc - lo + offset), obj.name)] += 1
             by_object[obj.name] += 1
+            if lines_binary is not None:
+                vaddr = obj.vaddr(pc - lo + offset)
+                if vaddr is not None and same_file(obj_path, lines_binary):
+                    by_vaddr[vaddr] += 1
+                else:
+                    by_line["[%s]" % obj.name] += 1
     if total == 0:
         sys.exit("symbolize: no samples")
     print("%d samples" % total)
@@ -140,6 +200,14 @@ def main(argv):
     print()
     for obj, n in by_object.most_common():
         print("%6.2f%% %7d  %s" % (100.0 * n / total, n, obj))
+    if lines_binary is not None:
+        if by_vaddr:
+            for vaddr, loc in source_lines(lines_binary, by_vaddr).items():
+                by_line[loc] += by_vaddr[vaddr]
+        print()
+        print("%7s %7s  %s" % ("share", "samples", "file:line [or object]"))
+        for loc, n in by_line.most_common(top):
+            print("%6.2f%% %7d  %s" % (100.0 * n / total, n, loc))
     return 0
 
 
