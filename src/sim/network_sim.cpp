@@ -159,6 +159,11 @@ enum class Loss {
 /// (catch_up) in the identical per-slot sequence, so every clamp, leak,
 /// ledger add and draw lands bit-identically. e_next_[k] is tag k's
 /// first slot not applied yet.
+///
+/// Without energy gating only the harvest sums move: storage and ledger
+/// are never carved, and spent_j keeps its +0.0, which is what an
+/// unspent ledger's total_energy_j() sums to for the finite powers
+/// validate() admits.
 class EnergyTracker {
  public:
   EnergyTracker(const NetworkSimConfig& config, std::span<const double> h_idle,
@@ -169,12 +174,13 @@ class EnergyTracker {
         h_act_(h_act),
         dt_(dt),
         stats_(stats),
-        storage_(arena.alloc<energy::Storage>(h_idle.size())),
-        ledger_(arena.alloc<energy::EnergyLedger>(h_idle.size())),
         brownout_(arena.alloc_zeroed<std::uint8_t>(h_idle.size())),
         e_next_(arena.alloc_zeroed<std::uint32_t>(h_idle.size())) {
+    if (!config.energy_gating) return;
     // Arena carves: as per-trial heap vectors these cost 10k-tag trials
     // fresh pages every trial.
+    storage_ = arena.alloc<energy::Storage>(h_idle.size());
+    ledger_ = arena.alloc<energy::EnergyLedger>(h_idle.size());
     std::uninitialized_fill(storage_.begin(), storage_.end(),
                             energy::Storage(config.storage));
     std::uninitialized_fill(ledger_.begin(), ledger_.end(),
@@ -192,6 +198,11 @@ class EnergyTracker {
   void catch_up(std::size_t k, std::uint64_t upto) {
     if (config_.energy_gating) {
       for (std::uint64_t s = e_next_[k]; s < upto; ++s) apply(k, false);
+    } else if (h_idle_[k] == 0.0) {
+      // harvested_j is never -0 (it starts at +0 and only non-negative
+      // increments land on it), so adding zeros leaves it as it is; and
+      // ungated, nothing but this branch reads e_next_[k].
+      return;
     } else if (e_next_[k] < upto) {
       // Only the harvest sum moves: the same adds, fast-forwarded.
       stats_[k].harvested_j = detail::add_repeated(
@@ -208,7 +219,7 @@ class EnergyTracker {
   /// Trial end: settles tag k's outstanding idle span and its spend.
   void settle(std::size_t k, std::uint64_t slots) {
     catch_up(k, slots);
-    stats_[k].spent_j = ledger_[k].total_energy_j();
+    if (config_.energy_gating) stats_[k].spent_j = ledger_[k].total_energy_j();
   }
 
  private:
@@ -312,6 +323,31 @@ void NetworkSimConfig::validate() const {
     throw std::invalid_argument(
         "NetworkSimConfig: notify_slots_per_m must be non-negative, got " +
         std::to_string(notify_slots_per_m));
+  }
+  // Storage and PowerProfile only assert their ranges, and Release
+  // builds drop the asserts. Ungated trials also leave spent_j at +0,
+  // which is an unspent ledger's sum of 0 * power only for finite
+  // powers.
+  const auto energy_field = [](const char* name, double v) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      throw std::invalid_argument(std::string("NetworkSimConfig: ") + name +
+                                  " must be finite and non-negative, got " +
+                                  std::to_string(v));
+    }
+  };
+  energy_field("power.idle_w", power.idle_w);
+  energy_field("power.listening_w", power.listening_w);
+  energy_field("power.backscattering_w", power.backscattering_w);
+  energy_field("power.decoding_w", power.decoding_w);
+  energy_field("storage.capacity_j", storage.capacity_j);
+  energy_field("storage.initial_j", storage.initial_j);
+  energy_field("storage.leakage_w", storage.leakage_w);
+  if (!(storage.capacity_j > 0.0 && storage.initial_j <= storage.capacity_j)) {
+    throw std::invalid_argument(
+        "NetworkSimConfig: storage.capacity_j must be positive and at least "
+        "storage.initial_j, got " +
+        std::to_string(storage.capacity_j) + " and " +
+        std::to_string(storage.initial_j));
   }
   relay.validate();
   if (relay.enabled) {

@@ -178,7 +178,8 @@ struct NetworkSimConfig {
   /// Rejects configurations that used to fail silently (empty tag set,
   /// non-positive transmit power, carrier/fading strings the factories
   /// would quietly map to a default arm, a non-finite or non-positive
-  /// envelope_cutoff_mult). Throws std::invalid_argument
+  /// envelope_cutoff_mult, a non-finite or negative power.*_w or
+  /// storage.* field). Throws std::invalid_argument
   /// with a message naming the offending field.
   void validate() const;
 };

@@ -81,45 +81,38 @@ std::vector<LinkSimSummary> ExperimentRunner::run_batch(
     sims.back()->set_payload_bytes(s.payload_bytes);
   }
 
-  // Flatten every scenario's fixed-size chunks into one work queue.
+  // Flatten every scenario's fixed-size chunks into one work queue,
+  // scenario by scenario, so the queue's index order is each
+  // scenario's chunk order and the ordered fold below keeps the
+  // reduction tree fixed by the partition.
   struct WorkItem {
     std::size_t scenario;
     std::uint64_t lo;
     std::uint64_t hi;
-    std::size_t slot;  // index into that scenario's chunk summaries
   };
   std::vector<WorkItem> items;
-  std::vector<std::vector<LinkSimSummary>> chunk_summaries(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const std::size_t trials = scenarios[s].trials;
-    const std::size_t n_chunks =
-        (trials + kTrialsPerChunk - 1) / kTrialsPerChunk;
-    chunk_summaries[s].resize(n_chunks);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::uint64_t lo = c * kTrialsPerChunk;
-      const std::uint64_t hi =
-          std::min<std::uint64_t>(trials, lo + kTrialsPerChunk);
-      items.push_back({s, lo, hi, c});
+    for (std::uint64_t lo = 0; lo < trials; lo += kTrialsPerChunk) {
+      items.push_back(
+          {s, lo, std::min<std::uint64_t>(trials, lo + kTrialsPerChunk)});
     }
   }
 
-  dispatch(items.size(), [&](std::size_t i) {
-    const WorkItem& item = items[i];
-    LinkSimSummary acc;
-    for (std::uint64_t t = item.lo; t < item.hi; ++t) {
-      acc.add(sims[item.scenario]->run_trial(t));
-    }
-    chunk_summaries[item.scenario][item.slot] = acc;
-  });
-
-  // Merge per scenario in chunk order — the reduction tree is fixed by
-  // the partition, not by which worker finished first.
   std::vector<LinkSimSummary> merged(scenarios.size());
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    for (const LinkSimSummary& chunk : chunk_summaries[s]) {
-      merged[s].merge(chunk);
-    }
-  }
+  dispatch_ordered(
+      items.size(),
+      [&](std::size_t i) {
+        const WorkItem& item = items[i];
+        LinkSimSummary acc;
+        for (std::uint64_t t = item.lo; t < item.hi; ++t) {
+          acc.add(sims[item.scenario]->run_trial(t));
+        }
+        return acc;
+      },
+      [&](std::size_t i, const LinkSimSummary& chunk) {
+        merged[items[i].scenario].merge(chunk);
+      });
   return merged;
 }
 

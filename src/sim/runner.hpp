@@ -10,9 +10,10 @@
 // computes the same outcome on any thread. Second, trials are
 // partitioned into fixed-size chunks independent of the job count; each
 // chunk accumulates serially into its own summary, and the per-chunk
-// summaries merge in chunk order on the calling thread. Scheduling
-// decides only *when* a chunk runs, never what it computes or the shape
-// of the floating-point reduction tree.
+// summaries merge in chunk order, each as soon as every earlier one has
+// merged. Scheduling decides only *when* a chunk runs and which thread
+// merges it, never what it computes or the shape of the floating-point
+// reduction tree.
 #pragma once
 
 #include <atomic>
@@ -20,6 +21,8 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -84,16 +87,17 @@ class ExperimentRunner {
   Acc run_chunked(std::size_t trials, const TrialFn& fn) const {
     const std::size_t n_chunks =
         (trials + kTrialsPerChunk - 1) / kTrialsPerChunk;
-    std::vector<Acc> per_chunk(n_chunks);
-    dispatch(n_chunks, [&](std::size_t c) {
-      Acc acc;
-      const std::size_t lo = c * kTrialsPerChunk;
-      const std::size_t hi = std::min(trials, lo + kTrialsPerChunk);
-      for (std::size_t i = lo; i < hi; ++i) fn(acc, i);
-      per_chunk[c] = std::move(acc);
-    });
     Acc merged;
-    for (const Acc& acc : per_chunk) merged.merge(acc);
+    dispatch_ordered(
+        n_chunks,
+        [&](std::size_t c) {
+          Acc acc;
+          const std::size_t lo = c * kTrialsPerChunk;
+          const std::size_t hi = std::min(trials, lo + kTrialsPerChunk);
+          for (std::size_t i = lo; i < hi; ++i) fn(acc, i);
+          return acc;
+        },
+        [&](std::size_t, const Acc& acc) { merged.merge(acc); });
     return merged;
   }
 
@@ -114,6 +118,41 @@ class ExperimentRunner {
   /// worker exception on the calling thread.
   void dispatch(std::size_t n_items,
                 const std::function<void(std::size_t)>& item_fn) const;
+
+  /// dispatch() that folds as it goes: runs make(i) for every i in
+  /// [0, n_items) and calls fold(i, result) in index order, each as soon
+  /// as every earlier result is folded, then drops that result. The
+  /// worker that finishes the item at the frontier folds it and every
+  /// parked result behind it, outside the lock; any other worker only
+  /// parks its result. Folds therefore run one at a time and in index
+  /// order, on whichever thread, and a result waits only for the items
+  /// before it. If an item throws, the frontier stops there and the
+  /// error is rethrown as by dispatch().
+  template <typename Make, typename Fold>
+  void dispatch_ordered(std::size_t n_items, const Make& make,
+                        const Fold& fold) const {
+    using Result = std::invoke_result_t<Make, std::size_t>;
+    std::vector<std::optional<Result>> done(n_items);
+    std::mutex mutex;
+    std::size_t frontier = 0;
+    dispatch(n_items, [&](std::size_t i) {
+      Result result = make(i);
+      std::unique_lock<std::mutex> lock(mutex);
+      done[i].emplace(std::move(result));
+      // A result leaves `done` before its fold and the frontier moves
+      // past it only after, so while one worker folds, every other one
+      // finds the frontier slot empty and leaves.
+      while (frontier < n_items && done[frontier]) {
+        const std::size_t f = frontier;
+        const Result next = std::move(*done[f]);
+        done[f].reset();
+        lock.unlock();
+        fold(f, next);
+        lock.lock();
+        frontier = f + 1;
+      }
+    });
+  }
 
   std::size_t jobs_;
 };

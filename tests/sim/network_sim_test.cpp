@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/runner.hpp"
 #include "sim/scenarios.hpp"
@@ -287,6 +288,65 @@ TEST(NetworkSimConfigValidation, RejectsRelayWithUndefinedTargetBer) {
   config.relay.enabled = false;
   config.fleet.analytic_target_ber = 0.6;
   EXPECT_NO_THROW(config.validate());
+}
+
+TEST(NetworkSimConfigValidation, RejectsBadEnergyParams) {
+  // Storage and PowerProfile only assert their ranges. With gating off,
+  // an infinite power used to make every tag's spent_j NaN (0 * inf in
+  // the unspent ledger's sum); with gating on, NaN or negative storage
+  // fields ran a meaningless recurrence.
+  const auto power_fields = {
+      std::pair{"power.idle_w", &energy::PowerProfile::idle_w},
+      std::pair{"power.listening_w", &energy::PowerProfile::listening_w},
+      std::pair{"power.backscattering_w",
+                &energy::PowerProfile::backscattering_w},
+      std::pair{"power.decoding_w", &energy::PowerProfile::decoding_w}};
+  const auto storage_fields = {
+      std::pair{"storage.capacity_j", &energy::StorageParams::capacity_j},
+      std::pair{"storage.initial_j", &energy::StorageParams::initial_j},
+      std::pair{"storage.leakage_w", &energy::StorageParams::leakage_w}};
+  const double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_rejects = [](const NetworkSimConfig& config,
+                                 const std::string& field, double v) {
+    try {
+      config.validate();
+      ADD_FAILURE() << field << " = " << v << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const bool gating : {false, true}) {
+    auto config = small_config();
+    config.energy_gating = gating;
+    EXPECT_NO_THROW(config.validate());  // the defaults stay valid
+    for (const double v : {std::nan(""), kInf, -kInf, -1e-9}) {
+      for (const auto& [name, member] : power_fields) {
+        auto bad = config;
+        bad.power.*member = v;
+        expect_rejects(bad, name, v);
+      }
+      for (const auto& [name, member] : storage_fields) {
+        auto bad = config;
+        bad.storage.*member = v;
+        expect_rejects(bad, name, v);
+      }
+    }
+    // Zero is a valid power, initial charge and leakage.
+    auto zero = config;
+    zero.power = {0.0, 0.0, 0.0, 0.0};
+    zero.storage.initial_j = 0.0;
+    zero.storage.leakage_w = 0.0;
+    EXPECT_NO_THROW(zero.validate());
+    // A store needs room, and cannot start above its capacity.
+    auto empty = config;
+    empty.storage.capacity_j = 0.0;
+    empty.storage.initial_j = 0.0;
+    expect_rejects(empty, "storage.capacity_j", 0.0);
+    auto over = config;
+    over.storage.initial_j = 2.0 * over.storage.capacity_j;
+    expect_rejects(over, "storage.initial_j", over.storage.initial_j);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -7,7 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "sim/sweep.hpp"
 
@@ -174,6 +182,95 @@ TEST(ExperimentRunner, RunChunkedAccumulates) {
   const auto acc = runner.run_chunked<SumAcc>(
       1000, [](SumAcc& a, std::size_t i) { a.sum += i; });
   EXPECT_EQ(acc.sum, 999u * 1000u / 2u);
+}
+
+// Merge order made visible: `chunks` lists chunk indices in the order
+// they were merged, and `sum` is a double sum whose rounding depends on
+// that order.
+struct LogAcc {
+  std::vector<std::size_t> chunks;
+  double sum = 0.0;
+  void merge(const LogAcc& other) {
+    chunks.insert(chunks.end(), other.chunks.begin(), other.chunks.end());
+    sum += other.sum;
+  }
+};
+
+// 16 chunks whose first trial sleeps (16 - chunk) * 10 ms, so at 4 jobs
+// chunk 3 finishes before chunk 0 and later chunks keep overtaking
+// earlier ones. `finished` gets each chunk index as its last trial ends.
+// Chunk `throw_chunk` throws from its first trial.
+LogAcc run_inverse_delays(std::size_t jobs, std::vector<std::size_t>& finished,
+                          std::size_t throw_chunk = SIZE_MAX) {
+  constexpr std::size_t kChunks = 16;
+  constexpr std::size_t kPer = ExperimentRunner::kTrialsPerChunk;
+  std::mutex finished_mutex;
+  return ExperimentRunner(jobs).run_chunked<LogAcc>(
+      kChunks * kPer, [&](LogAcc& a, std::size_t i) {
+        const std::size_t c = i / kPer;
+        if (i % kPer == 0) {
+          if (c == throw_chunk) throw std::runtime_error("chunk failed");
+          a.chunks.push_back(c);
+          std::this_thread::sleep_for(std::chrono::milliseconds(
+              10 * static_cast<std::int64_t>(kChunks - c)));
+        }
+        a.sum += 1.0 / static_cast<double>(3 * i + 1);
+        if (i % kPer == kPer - 1) {
+          std::lock_guard<std::mutex> lock(finished_mutex);
+          finished.push_back(c);
+        }
+      });
+}
+
+TEST(ExperimentRunner, RunChunkedMergesInChunkOrderWhenChunksFinishOutOfOrder) {
+  std::vector<std::size_t> finished_1;
+  std::vector<std::size_t> finished_4;
+  const LogAcc serial = run_inverse_delays(1, finished_1);
+  const LogAcc parallel = run_inverse_delays(4, finished_4);
+  std::vector<std::size_t> in_order(16);
+  std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+  // The scenario is what it claims: chunks finished out of order.
+  EXPECT_EQ(finished_1, in_order);
+  EXPECT_FALSE(std::is_sorted(finished_4.begin(), finished_4.end()));
+  EXPECT_EQ(parallel.chunks, in_order);
+  EXPECT_EQ(serial.chunks, in_order);
+  EXPECT_EQ(parallel.sum, serial.sum);  // exact: the same left fold
+}
+
+TEST(ExperimentRunner, RunChunkedRethrowsWhenAChunkThrowsMidRun) {
+  // Chunk 3 never reaches the merge frontier, so chunks 4..15 finish
+  // with nothing to merge them behind; the call must still return (by
+  // rethrowing) instead of waiting on the frontier.
+  for (const std::size_t jobs : {1, 4}) {
+    std::vector<std::size_t> finished;
+    EXPECT_THROW((void)run_inverse_delays(jobs, finished, 3),
+                 std::runtime_error)
+        << "jobs " << jobs;
+  }
+}
+
+// Counts live accumulators: a merged chunk must be released, not kept
+// until the last chunk finishes.
+struct CountedAcc {
+  static inline std::size_t live = 0;
+  static inline std::size_t peak = 0;
+  CountedAcc() { note(); }
+  CountedAcc(const CountedAcc&) { note(); }
+  CountedAcc(CountedAcc&&) noexcept { note(); }
+  CountedAcc& operator=(const CountedAcc&) = default;
+  CountedAcc& operator=(CountedAcc&&) = default;
+  ~CountedAcc() { --live; }
+  void merge(const CountedAcc&) {}
+  static void note() { peak = std::max(peak, ++live); }
+};
+
+TEST(ExperimentRunner, RunChunkedReleasesMergedChunks) {
+  // One job, so the counters need no synchronization.
+  CountedAcc::peak = CountedAcc::live;
+  (void)ExperimentRunner(1).run_chunked<CountedAcc>(
+      64 * ExperimentRunner::kTrialsPerChunk, [](CountedAcc&, std::size_t) {});
+  EXPECT_EQ(CountedAcc::live, 0u);
+  EXPECT_LT(CountedAcc::peak, 8u);  // not one per chunk (64)
 }
 
 TEST(ExperimentRunner, ZeroJobsSelectsHardware) {

@@ -330,6 +330,45 @@ TEST(NetworkSimGolden, EnergyStarvedTimeoutBitIdenticalToPreRefactor) {
          0x1.85a3b1e31eedcp-23}}});
 }
 
+// energy-starved with tags 1 and 4 moved 12 m further from the
+// illuminator, out of rectifier range: they harvest exactly 0 while the
+// others harvest more. Ungated, only the harvest sums move and spent_j
+// stays +0; gated, every tag runs the storage and ledger recurrence.
+NetworkSimConfig energy_starved_zero_harvest(bool gating) {
+  auto config = make_scenario("energy-starved", 6, 9).config;
+  config.slots_per_trial = 96;
+  config.energy_gating = gating;
+  for (std::size_t k = 1; k < 6; k += 3) config.tags[k].position.x += 12.0;
+  return config;
+}
+
+TEST(NetworkSimGolden, EnergyStarvedUngatedZeroHarvestTags) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_network_matches(
+      energy_starved_zero_harvest(false), 3,
+      {288, 173, 36, 140, 85, 0, 85, 0x1p+1, 0x0p+0,
+       {{14, 0, 14, 14, 0, 0, 0x1.373b4e25fc613p-23, 0x0p+0},
+        {13, 0, 13, 12, 0, 0, 0x0p+0, 0x0p+0},
+        {15, 2, 13, 12, 1024, 0, 0x1.9a8fc8fc32e66p-22, 0x0p+0},
+        {14, 0, 14, 14, 0, 0, 0x1.36d8effcb6401p-21, 0x0p+0},
+        {15, 0, 15, 15, 0, 0, 0x0p+0, 0x0p+0},
+        {18, 2, 16, 16, 1024, 0, 0x1.a1667ded07d9p-23, 0x0p+0}}});
+}
+
+TEST(NetworkSimGolden, EnergyStarvedGatedZeroHarvestTags) {
+  FDB_SKIP_GOLDEN_ON_NATIVE();
+  expect_network_matches(
+      energy_starved_zero_harvest(true), 3,
+      {288, 158, 99, 69, 24, 0, 24, 0x1p+1, 0x0p+0,
+       {{0, 0, 0, 0, 0, 108, 0x1.4a648d08d7dd4p-23, 0x1.0b2e6b59e9526p-22},
+        {0, 0, 0, 0, 0, 95, 0x0p+0, 0x1.0b2e6b59e9526p-22},
+        {12, 0, 12, 12, 0, 9, 0x1.a80884a60dcf2p-22, 0x1.1dbc4f4027bf6p-22},
+        {23, 11, 12, 12, 5632, 2, 0x1.105570b3c0e83p-21,
+         0x1.4d0c879813bb5p-22},
+        {0, 0, 0, 0, 0, 97, 0x0p+0, 0x1.0b2e6b59e9526p-22},
+        {0, 0, 0, 0, 0, 100, 0x1.c6bc8dfa5cf8ep-23, 0x1.0b2e6b59e9526p-22}}});
+}
+
 // The ofdm_tv carrier is not constant, so it keeps the trial-length
 // carrier buffer that zero-drift CW no longer uses. These pins were
 // captured while every carrier still used that buffer. The waveform arm
