@@ -44,6 +44,8 @@ class Scene {
 
   /// Adds a device; returns its index.
   std::size_t add_device(Device device);
+  /// Room for n devices in all, so adding that many never reallocates.
+  void reserve_devices(std::size_t n) { devices_.reserve(n); }
 
   const Device& device(std::size_t i) const { return devices_.at(i); }
   std::size_t num_devices() const { return devices_.size(); }

@@ -160,10 +160,10 @@ enum class Loss {
 /// ledger add and draw lands bit-identically. e_next_[k] is tag k's
 /// first slot not applied yet.
 ///
-/// Without energy gating only the harvest sums move: storage and ledger
-/// are never carved, and spent_j keeps its +0.0, which is what an
-/// unspent ledger's total_energy_j() sums to for the finite powers
-/// validate() admits.
+/// Without energy gating only the harvest sums move: storage, ledger and
+/// brownout flags are never carved, and spent_j keeps its +0.0, which is
+/// what an unspent ledger's total_energy_j() sums to for the finite
+/// powers validate() admits.
 class EnergyTracker {
  public:
   EnergyTracker(const NetworkSimConfig& config, std::span<const double> h_idle,
@@ -174,11 +174,11 @@ class EnergyTracker {
         h_act_(h_act),
         dt_(dt),
         stats_(stats),
-        brownout_(arena.alloc_zeroed<std::uint8_t>(h_idle.size())),
         e_next_(arena.alloc_zeroed<std::uint32_t>(h_idle.size())) {
     if (!config.energy_gating) return;
     // Arena carves: as per-trial heap vectors these cost 10k-tag trials
     // fresh pages every trial.
+    brownout_ = arena.alloc_zeroed<std::uint8_t>(h_idle.size());
     storage_ = arena.alloc<energy::Storage>(h_idle.size());
     ledger_ = arena.alloc<energy::EnergyLedger>(h_idle.size());
     std::uninitialized_fill(storage_.begin(), storage_.end(),
@@ -198,11 +198,6 @@ class EnergyTracker {
   void catch_up(std::size_t k, std::uint64_t upto) {
     if (config_.energy_gating) {
       for (std::uint64_t s = e_next_[k]; s < upto; ++s) apply(k, false);
-    } else if (h_idle_[k] == 0.0) {
-      // harvested_j is never -0 (it starts at +0 and only non-negative
-      // increments land on it), so adding zeros leaves it as it is; and
-      // ungated, nothing but this branch reads e_next_[k].
-      return;
     } else if (e_next_[k] < upto) {
       // Only the harvest sum moves: the same adds, fast-forwarded.
       stats_[k].harvested_j = detail::add_repeated(
@@ -212,6 +207,7 @@ class EnergyTracker {
   }
   /// Whether tag k's storage ran dry on air since the last call.
   bool take_brownout(std::size_t k) {
+    if (!config_.energy_gating) return false;
     const bool b = brownout_[k] != 0;
     brownout_[k] = 0;
     return b;
@@ -485,6 +481,8 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
   config_.validate();
   assert(config_.modem.consistent());
 
+  scene_.reserve_devices(2 + config_.tags.size() +
+                         config_.extra_gateways.size());
   ambient_device_ = scene_.add_device(
       {"ambient", channel::DeviceKind::kAmbientTx, config_.ambient_position});
   // Device order is part of the determinism contract: the pair-keyed
