@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -25,145 +27,402 @@ constexpr std::size_t kBlock = 4096;
 // same instants — chunked and scalar feeding stay bit-identical.
 constexpr std::uint64_t kRefreshMask = (1u << 15) - 1;
 
-#if defined(__x86_64__)
-// Output-blocked, tap-outer dot kernels over the pre-widened window:
-// lane l of a block accumulates the dot of the window starting at
-// first + j0 + l. At a fixed tap k the lanes read one contiguous
-// unaligned double load first[j0+k .. j0+k+lanes), and every lane
-// keeps the scalar reference's four k-mod-4 accumulators plus
-// sequential tail. Both factors of every product are float-valued
-// doubles (24+24 < 53 bits → the product is exact), so each FMA equals
-// multiply-then-add bit-for-bit and the kernels match dot_one()
-// exactly. The widest block runs two lane groups per tap so one
-// broadcast feeds two FMAs and the FMA latency chains interleave.
-//
-// Each kernel is compiled for its ISA via the target attribute, so every
-// x86-64 build carries both; the runtime dispatch below only calls one
-// the CPU supports. Each returns how many leading outputs it wrote; the
-// caller finishes the rest with the scalar dot.
+// Longest window the box kernel's bound covers: the second-order terms
+// of the header's argument stay below u · 2^-20 up to here.
+constexpr std::size_t kMaxWindow = std::size_t{1} << 28;
 
-__attribute__((target("avx512f"))) std::size_t dot_block_avx512f(
-    const double* pat, std::size_t w, const double* first, std::size_t n,
-    double* dots) {
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const double* win = first + j;
-    __m512d a0 = _mm512_setzero_pd(), b0 = _mm512_setzero_pd();
-    __m512d a1 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-    __m512d a2 = _mm512_setzero_pd(), b2 = _mm512_setzero_pd();
-    __m512d a3 = _mm512_setzero_pd(), b3 = _mm512_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m512d p0 = _mm512_set1_pd(pat[k]);
-      a0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p0, a0);
-      b0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p0, b0);
-      const __m512d p1 = _mm512_set1_pd(pat[k + 1]);
-      a1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1), p1, a1);
-      b1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 9), p1, b1);
-      const __m512d p2 = _mm512_set1_pd(pat[k + 2]);
-      a2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2), p2, a2);
-      b2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 10), p2, b2);
-      const __m512d p3 = _mm512_set1_pd(pat[k + 3]);
-      a3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3), p3, a3);
-      b3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 11), p3, b3);
-    }
-    __m512d da = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
-    __m512d db = _mm512_add_pd(_mm512_add_pd(b0, b1), _mm512_add_pd(b2, b3));
-    for (; k < w; ++k) {
-      const __m512d p = _mm512_set1_pd(pat[k]);
-      da = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p, da);
-      db = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p, db);
-    }
-    _mm512_storeu_pd(dots + j, da);
-    _mm512_storeu_pd(dots + j + 8, db);
+// Lanes of the widest box-kernel group. Per-output scratch is padded by
+// this much so the last, partial group loads in bounds; its extra lanes
+// are computed and dropped.
+constexpr std::size_t kPad = 8;
+
+void check_spans(std::span<const float> in, std::span<float> out) {
+  if (in.size() != out.size()) {
+    throw std::invalid_argument(
+        "SlidingCorrelator: input and output spans differ in length (" +
+        std::to_string(in.size()) + " vs " + std::to_string(out.size()) +
+        ")");
   }
-  for (; j + 8 <= n; j += 8) {
-    const double* win = first + j;
-    __m512d d0 = _mm512_setzero_pd();
-    __m512d d1 = _mm512_setzero_pd();
-    __m512d d2 = _mm512_setzero_pd();
-    __m512d d3 = _mm512_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      d0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
-                           _mm512_set1_pd(pat[k]), d0);
-      d1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1),
-                           _mm512_set1_pd(pat[k + 1]), d1);
-      d2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2),
-                           _mm512_set1_pd(pat[k + 2]), d2);
-      d3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3),
-                           _mm512_set1_pd(pat[k + 3]), d3);
-    }
-    __m512d dot = _mm512_add_pd(_mm512_add_pd(d0, d1), _mm512_add_pd(d2, d3));
-    for (; k < w; ++k) {
-      dot = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
-                            _mm512_set1_pd(pat[k]), dot);
-    }
-    _mm512_storeu_pd(dots + j, dot);
-  }
-  return j;
 }
 
-__attribute__((target("avx2,fma"))) std::size_t dot_block_avx2_fma(
-    const double* pat, std::size_t w, const double* first, std::size_t n,
-    double* dots) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const double* win = first + j;
-    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+/// The partial sums of dot_one's tree (four k-mod-4 partials,
+/// (d0+d1)+(d2+d3), sequential tail) run over f(p_k): the sum and the
+/// largest of their magnitudes. f = identity gives Q and max_a |P_a|,
+/// f = |·| gives Σ_k w_k |p_k| and Σ_k |p_k|.
+struct TreePartials {
+  double sum = 0.0;
+  double max = 0.0;
+};
+
+template <typename F>
+TreePartials tree_partials(const std::vector<double>& p, F f) {
+  const std::size_t w = p.size();
+  double part[4] = {0.0, 0.0, 0.0, 0.0};
+  TreePartials t;
+  const auto add = [&t](double partial) {
+    t.sum += std::abs(partial);
+    t.max = std::max(t.max, std::abs(partial));
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= w; k += 4) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      part[j] += f(p[k + j]);
+      add(part[j]);
+    }
+  }
+  const double lo = part[0] + part[1];
+  const double hi = part[2] + part[3];
+  double dot = lo + hi;
+  add(lo);
+  add(hi);
+  add(dot);
+  for (; k < w; ++k) {
+    dot += f(p[k]);
+    add(dot);
+  }
+  return t;
+}
+
+/// Exponent of the grid a nonzero float x lies on (x is a multiple of
+/// 2^grid_exponent(x), and so is every float of larger magnitude).
+int grid_exponent(double x) { return std::max(std::ilogb(x), -126) - 23; }
+
+#if defined(__x86_64__)
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct BoxStats {
+  double ymax;  // max |x - d| over the block's samples
+  double xmin;  // min |x|
+};
+
+// dot_one of the windows at base + idx[j] for j < count, four windows
+// at a time: one 4-lane register per window holds its four k-mod-4
+// partials, so each lane adds the same exact float×float products in
+// the same order as dot_one's scalar d0..d3, and the combine and tail
+// are dot_one's own. Bit-identical to dot_one; the four windows' add
+// chains overlap where dot_one runs one. idx is padded to a multiple
+// of four (the padding lanes' dots are dropped). Compiled for AVX2 and
+// inlined into both box-kernel targets (AVX-512F includes it).
+__attribute__((target("avx2"), always_inline)) inline void exact_dots_avx2(
+    const float* base, const double* pat, std::size_t w,
+    const std::uint32_t* idx, std::size_t count, double* dots) {
+  for (std::size_t j = 0; j < count; j += 4) {
+    const float* win[4];
+    __m256d acc[4];
+    for (int r = 0; r < 4; ++r) {
+      win[r] = base + idx[j + r];
+      acc[r] = _mm256_setzero_pd();
+    }
     std::size_t k = 0;
     for (; k + 4 <= w; k += 4) {
-      const __m256d p0 = _mm256_set1_pd(pat[k]);
-      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p0, a0);
-      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p0, b0);
-      const __m256d p1 = _mm256_set1_pd(pat[k + 1]);
-      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1), p1, a1);
-      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 5), p1, b1);
-      const __m256d p2 = _mm256_set1_pd(pat[k + 2]);
-      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2), p2, a2);
-      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 6), p2, b2);
-      const __m256d p3 = _mm256_set1_pd(pat[k + 3]);
-      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3), p3, a3);
-      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 7), p3, b3);
+      const __m256d p = _mm256_loadu_pd(pat + k);
+      for (int r = 0; r < 4; ++r) {
+        const __m256d x = _mm256_cvtps_pd(_mm_loadu_ps(win[r] + k));
+        acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(x, p));
+      }
     }
-    __m256d da = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-    __m256d db = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
-    for (; k < w; ++k) {
-      const __m256d p = _mm256_set1_pd(pat[k]);
-      da = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p, da);
-      db = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p, db);
+    for (std::size_t r = 0; r < 4 && j + r < count; ++r) {
+      alignas(32) double part[4];
+      _mm256_store_pd(part, acc[r]);
+      double dot = (part[0] + part[1]) + (part[2] + part[3]);
+      for (std::size_t t = k; t < w; ++t) {
+        dot += static_cast<double>(win[r][t]) * pat[t];
+      }
+      dots[j + r] = dot;
     }
-    _mm256_storeu_pd(dots + j, da);
-    _mm256_storeu_pd(dots + j + 4, db);
   }
-  for (; j + 4 <= n; j += 4) {
-    const double* win = first + j;
-    __m256d d0 = _mm256_setzero_pd();
-    __m256d d1 = _mm256_setzero_pd();
-    __m256d d2 = _mm256_setzero_pd();
-    __m256d d3 = _mm256_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      d0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
-                           _mm256_set1_pd(pat[k]), d0);
-      d1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1),
-                           _mm256_set1_pd(pat[k + 1]), d1);
-      d2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2),
-                           _mm256_set1_pd(pat[k + 2]), d2);
-      d3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3),
-                           _mm256_set1_pd(pat[k + 3]), d3);
-    }
-    __m256d dot = _mm256_add_pd(_mm256_add_pd(d0, d1), _mm256_add_pd(d2, d3));
-    for (; k < w; ++k) {
-      dot = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
-                            _mm256_set1_pd(pat[k]), dot);
-    }
-    _mm256_storeu_pd(dots + j, dot);
+}
+
+// One block of box-kernel outputs: output r (r < n) is the correlation
+// of the window whose chip c box is box[r + c·spc].
+struct BoxBlock {
+  const double* box;
+  const double* chip;  // p_c
+  std::size_t chips;
+  std::size_t spc;
+  const double* mean;   // window mean per output
+  const double* denom;  // normalization per output
+  double offset_dot;    // fl(d · P)
+  double bound;         // E, or +inf to recompute every live output
+  double pattern_sum;
+  float* out;
+  std::size_t n;
+  const float* windows;  // output r's window starts at windows + r
+  const double* taps;    // the W stretched taps, for the recompute
+  std::size_t w;
+};
+
+// Outputs the bound could not settle, recomputed kExactBatch at a time
+// with exact_dots_avx2 and normalized exactly as process_scalar does.
+constexpr std::size_t kExactBatch = 64;
+
+struct ExactQueue {
+  std::uint32_t idx[kExactBatch + 4];  // + padding to a multiple of 4
+  std::size_t n = 0;
+  std::uint64_t total = 0;
+};
+
+__attribute__((target("avx2"), always_inline)) inline void flush_exact(
+    const BoxBlock& b, ExactQueue& q) {
+  if (q.n == 0) return;
+  for (std::size_t j = q.n; j % 4 != 0; ++j) q.idx[j] = q.idx[q.n - 1];
+  double dots[kExactBatch + 4];
+  exact_dots_avx2(b.windows, b.taps, b.w, q.idx, q.n, dots);
+  for (std::size_t j = 0; j < q.n; ++j) {
+    const std::size_t i = q.idx[j];
+    const double dot = dots[j] - b.mean[i] * b.pattern_sum;
+    b.out[i] = static_cast<float>(dot / b.denom[i]);
   }
-  return j;
+  q.total += q.n;
+  q.n = 0;
+}
+
+/// Queues the lanes set in `redo` of the group at output i (after its
+/// fast-path floats are stored, which the recompute overwrites).
+__attribute__((target("avx2"), always_inline)) inline void queue_exact(
+    const BoxBlock& b, ExactQueue& q, std::size_t i, unsigned redo) {
+  if (redo == 0) return;
+  if (q.n + 8 > kExactBatch) flush_exact(b, q);
+  for (; redo != 0; redo &= redo - 1) {
+    q.idx[q.n++] = static_cast<std::uint32_t>(
+        i + static_cast<std::size_t>(__builtin_ctz(redo)));
+  }
+}
+
+// Box sums, per ISA: writes y_t = x_t - d for t < m into box, then in
+// place box[t] = Σ_{j<spc} y_{t+j} for t <= m - spc (ascending groups
+// read only entries no earlier group has overwritten). Returns
+// max_t |y_t| and min_t |x_t|; NaN samples are skipped (max and min
+// keep their second operand), which is safe because every window
+// holding one has a NaN B and recomputes.
+//
+// Chip dots, per ISA: G lane groups at a time, each with two chains
+// (even and odd chips) so the FMA latency overlaps. Each group then
+// maps both interval ends through the normalization, keeps the low
+// end's float where the denominator is live, and queues every live lane
+// whose two floats differ in bits (or whose B is not finite) for the
+// exact recompute. Each returns how many outputs it recomputed.
+
+__attribute__((target("avx512f"))) BoxStats box_sums_avx512f(
+    const float* x, std::size_t m, std::size_t spc, double d, double* box) {
+  const __m512d vd = _mm512_set1_pd(d);
+  __m512d vmax = _mm512_setzero_pd();
+  __m512d vmin = _mm512_set1_pd(kInf);
+  std::size_t t = 0;
+  for (; t + 8 <= m; t += 8) {
+    const __m512d xv = _mm512_cvtps_pd(_mm256_loadu_ps(x + t));
+    const __m512d y = _mm512_sub_pd(xv, vd);
+    _mm512_storeu_pd(box + t, y);
+    vmax = _mm512_max_pd(_mm512_abs_pd(y), vmax);
+    vmin = _mm512_min_pd(_mm512_abs_pd(xv), vmin);
+  }
+  alignas(64) double hi[8], lo[8];
+  _mm512_store_pd(hi, vmax);
+  _mm512_store_pd(lo, vmin);
+  BoxStats st{*std::max_element(hi, hi + 8), *std::min_element(lo, lo + 8)};
+  for (; t < m; ++t) {
+    box[t] = static_cast<double>(x[t]) - d;
+    st.ymax = std::max(st.ymax, std::abs(box[t]));
+    st.xmin = std::min(st.xmin, std::abs(static_cast<double>(x[t])));
+  }
+  const std::size_t boxes = m - spc + 1;
+  t = 0;
+  for (; t + 8 <= boxes; t += 8) {
+    __m512d acc = _mm512_loadu_pd(box + t);
+    for (std::size_t j = 1; j < spc; ++j) {
+      acc = _mm512_add_pd(acc, _mm512_loadu_pd(box + t + j));
+    }
+    _mm512_storeu_pd(box + t, acc);
+  }
+  for (; t < boxes; ++t) {
+    double acc = box[t];
+    for (std::size_t j = 1; j < spc; ++j) acc += box[t + j];
+    box[t] = acc;
+  }
+  return st;
+}
+
+template <int G>
+__attribute__((target("avx512f"), always_inline)) inline void
+box_groups_avx512f(const BoxBlock& b, std::size_t r, ExactQueue& q) {
+  __m512d acc[G][2];
+  for (int g = 0; g < G; ++g) {
+    acc[g][0] = _mm512_setzero_pd();
+    acc[g][1] = _mm512_setzero_pd();
+  }
+  const double* at = b.box + r;
+  std::size_t c = 0;
+  for (; c + 2 <= b.chips; c += 2, at += 2 * b.spc) {
+    const __m512d p0 = _mm512_set1_pd(b.chip[c]);
+    const __m512d p1 = _mm512_set1_pd(b.chip[c + 1]);
+    for (int g = 0; g < G; ++g) {
+      acc[g][0] = _mm512_fmadd_pd(p0, _mm512_loadu_pd(at + 8 * g), acc[g][0]);
+      acc[g][1] = _mm512_fmadd_pd(
+          p1, _mm512_loadu_pd(at + b.spc + 8 * g), acc[g][1]);
+    }
+  }
+  if (c < b.chips) {
+    const __m512d p0 = _mm512_set1_pd(b.chip[c]);
+    for (int g = 0; g < G; ++g) {
+      acc[g][0] = _mm512_fmadd_pd(p0, _mm512_loadu_pd(at + 8 * g), acc[g][0]);
+    }
+  }
+  const __m512d offset = _mm512_set1_pd(b.offset_dot);
+  const __m512d bound = _mm512_set1_pd(b.bound);
+  const __m512d psum = _mm512_set1_pd(b.pattern_sum);
+  const __m512d floor = _mm512_set1_pd(1e-12);
+  const __m512d big = _mm512_set1_pd(DBL_MAX);
+  for (int g = 0; g < G; ++g) {
+    const std::size_t i = r + 8 * g;
+    const __m512d dot =
+        _mm512_add_pd(_mm512_add_pd(acc[g][0], acc[g][1]), offset);
+    const __m512d mps = _mm512_mul_pd(_mm512_loadu_pd(b.mean + i), psum);
+    const __m512d den = _mm512_loadu_pd(b.denom + i);
+    const __m512d lo =
+        _mm512_div_pd(_mm512_sub_pd(_mm512_sub_pd(dot, bound), mps), den);
+    const __m512d hi =
+        _mm512_div_pd(_mm512_sub_pd(_mm512_add_pd(dot, bound), mps), den);
+    const __mmask8 live = _mm512_cmp_pd_mask(den, floor, _CMP_GE_OQ);
+    const __mmask8 finite =
+        _mm512_cmp_pd_mask(_mm512_abs_pd(dot), big, _CMP_LE_OQ);
+    const __m256 f_lo = _mm512_cvtpd_ps(_mm512_maskz_mov_pd(live, lo));
+    const __m256 f_hi = _mm512_cvtpd_ps(hi);
+    const auto same = static_cast<__mmask8>(_mm512_cmpeq_epi32_mask(
+        _mm512_zextsi256_si512(_mm256_castps_si256(f_lo)),
+        _mm512_zextsi256_si512(_mm256_castps_si256(f_hi))));
+    unsigned redo = live & ~(same & finite) & 0xffu;
+    if (i + 8 <= b.n) {
+      _mm256_storeu_ps(b.out + i, f_lo);
+    } else {
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, f_lo);
+      std::copy_n(lanes, b.n - i, b.out + i);
+      redo &= (1u << (b.n - i)) - 1;
+    }
+    queue_exact(b, q, i, redo);
+  }
+}
+
+__attribute__((target("avx512f"))) std::uint64_t box_dots_avx512f(
+    const BoxBlock& b) {
+  ExactQueue q;
+  std::size_t r = 0;
+  for (; r + 32 <= b.n; r += 32) box_groups_avx512f<4>(b, r, q);
+  for (; r < b.n; r += 8) box_groups_avx512f<1>(b, r, q);
+  flush_exact(b, q);
+  return q.total;
+}
+
+__attribute__((target("avx2,fma"))) BoxStats box_sums_avx2_fma(
+    const float* x, std::size_t m, std::size_t spc, double d, double* box) {
+  const __m256d vd = _mm256_set1_pd(d);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d vmax = _mm256_setzero_pd();
+  __m256d vmin = _mm256_set1_pd(kInf);
+  std::size_t t = 0;
+  for (; t + 4 <= m; t += 4) {
+    const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(x + t));
+    const __m256d y = _mm256_sub_pd(xv, vd);
+    _mm256_storeu_pd(box + t, y);
+    vmax = _mm256_max_pd(_mm256_andnot_pd(sign, y), vmax);
+    vmin = _mm256_min_pd(_mm256_andnot_pd(sign, xv), vmin);
+  }
+  alignas(32) double hi[4], lo[4];
+  _mm256_store_pd(hi, vmax);
+  _mm256_store_pd(lo, vmin);
+  BoxStats st{*std::max_element(hi, hi + 4), *std::min_element(lo, lo + 4)};
+  for (; t < m; ++t) {
+    box[t] = static_cast<double>(x[t]) - d;
+    st.ymax = std::max(st.ymax, std::abs(box[t]));
+    st.xmin = std::min(st.xmin, std::abs(static_cast<double>(x[t])));
+  }
+  const std::size_t boxes = m - spc + 1;
+  t = 0;
+  for (; t + 4 <= boxes; t += 4) {
+    __m256d acc = _mm256_loadu_pd(box + t);
+    for (std::size_t j = 1; j < spc; ++j) {
+      acc = _mm256_add_pd(acc, _mm256_loadu_pd(box + t + j));
+    }
+    _mm256_storeu_pd(box + t, acc);
+  }
+  for (; t < boxes; ++t) {
+    double acc = box[t];
+    for (std::size_t j = 1; j < spc; ++j) acc += box[t + j];
+    box[t] = acc;
+  }
+  return st;
+}
+
+template <int G>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+box_groups_avx2_fma(const BoxBlock& b, std::size_t r, ExactQueue& q) {
+  __m256d acc[G][2];
+  for (int g = 0; g < G; ++g) {
+    acc[g][0] = _mm256_setzero_pd();
+    acc[g][1] = _mm256_setzero_pd();
+  }
+  const double* at = b.box + r;
+  std::size_t c = 0;
+  for (; c + 2 <= b.chips; c += 2, at += 2 * b.spc) {
+    const __m256d p0 = _mm256_set1_pd(b.chip[c]);
+    const __m256d p1 = _mm256_set1_pd(b.chip[c + 1]);
+    for (int g = 0; g < G; ++g) {
+      acc[g][0] = _mm256_fmadd_pd(p0, _mm256_loadu_pd(at + 4 * g), acc[g][0]);
+      acc[g][1] = _mm256_fmadd_pd(
+          p1, _mm256_loadu_pd(at + b.spc + 4 * g), acc[g][1]);
+    }
+  }
+  if (c < b.chips) {
+    const __m256d p0 = _mm256_set1_pd(b.chip[c]);
+    for (int g = 0; g < G; ++g) {
+      acc[g][0] = _mm256_fmadd_pd(p0, _mm256_loadu_pd(at + 4 * g), acc[g][0]);
+    }
+  }
+  const __m256d offset = _mm256_set1_pd(b.offset_dot);
+  const __m256d bound = _mm256_set1_pd(b.bound);
+  const __m256d psum = _mm256_set1_pd(b.pattern_sum);
+  const __m256d floor = _mm256_set1_pd(1e-12);
+  const __m256d big = _mm256_set1_pd(DBL_MAX);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (int g = 0; g < G; ++g) {
+    const std::size_t i = r + 4 * g;
+    const __m256d dot =
+        _mm256_add_pd(_mm256_add_pd(acc[g][0], acc[g][1]), offset);
+    const __m256d mps = _mm256_mul_pd(_mm256_loadu_pd(b.mean + i), psum);
+    const __m256d den = _mm256_loadu_pd(b.denom + i);
+    const __m256d lo =
+        _mm256_div_pd(_mm256_sub_pd(_mm256_sub_pd(dot, bound), mps), den);
+    const __m256d hi =
+        _mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(dot, bound), mps), den);
+    const __m256d live = _mm256_cmp_pd(den, floor, _CMP_GE_OQ);
+    const __m256d finite =
+        _mm256_cmp_pd(_mm256_andnot_pd(sign, dot), big, _CMP_LE_OQ);
+    const __m128 f_lo = _mm256_cvtpd_ps(_mm256_and_pd(live, lo));
+    const __m128 f_hi = _mm256_cvtpd_ps(hi);
+    const auto same = static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(
+        _mm_cmpeq_epi32(_mm_castps_si128(f_lo), _mm_castps_si128(f_hi)))));
+    unsigned redo = static_cast<unsigned>(_mm256_movemask_pd(live)) &
+                    ~(same & static_cast<unsigned>(_mm256_movemask_pd(finite)));
+    if (i + 4 <= b.n) {
+      _mm_storeu_ps(b.out + i, f_lo);
+    } else {
+      alignas(16) float lanes[4];
+      _mm_store_ps(lanes, f_lo);
+      std::copy_n(lanes, b.n - i, b.out + i);
+      redo &= (1u << (b.n - i)) - 1;
+    }
+    queue_exact(b, q, i, redo);
+  }
+}
+
+__attribute__((target("avx2,fma"))) std::uint64_t box_dots_avx2_fma(
+    const BoxBlock& b) {
+  ExactQueue q;
+  std::size_t r = 0;
+  for (; r + 16 <= b.n; r += 16) box_groups_avx2_fma<4>(b, r, q);
+  for (; r < b.n; r += 4) box_groups_avx2_fma<1>(b, r, q);
+  flush_exact(b, q);
+  return q.total;
 }
 #endif  // __x86_64__
 
@@ -178,38 +437,117 @@ void correlator_process_on(SlidingCorrelator& corr, SimdTarget target,
                                 simd_target_name(target) +
                                 " is not supported on this CPU");
   }
-  corr.process_blocked(target, in, out);
+  corr.process_blocked(target, in, out, false);
+}
+
+void correlator_process_exact_only(SlidingCorrelator& corr,
+                                   std::span<const float> in,
+                                   std::span<float> out) {
+  corr.process_blocked(simd_dispatch_target(), in, out, true);
 }
 
 }  // namespace detail
 
 SlidingCorrelator::SlidingCorrelator(std::vector<float> pattern,
-                                     std::size_t samples_per_chip) {
-  assert(!pattern.empty() && samples_per_chip > 0);
-  stretched_.reserve(pattern.size() * samples_per_chip);
+                                     std::size_t samples_per_chip)
+    : samples_per_chip_(samples_per_chip) {
+  if (pattern.empty()) {
+    throw std::invalid_argument("SlidingCorrelator: empty pattern");
+  }
+  if (samples_per_chip == 0) {
+    throw std::invalid_argument(
+        "SlidingCorrelator: samples_per_chip must be positive");
+  }
+  if (samples_per_chip > kMaxWindow / pattern.size()) {
+    throw std::invalid_argument(
+        "SlidingCorrelator: window longer than 2^28 taps");
+  }
+  std::vector<float> stretched;
+  stretched.reserve(pattern.size() * samples_per_chip);
   for (const float chip : pattern) {
-    assert(chip == 1.0f || chip == -1.0f);
-    for (std::size_t s = 0; s < samples_per_chip; ++s) {
-      stretched_.push_back(chip);
+    if (chip != 1.0f && chip != -1.0f) {
+      throw std::invalid_argument("SlidingCorrelator: chips must be +1 or -1");
     }
+    stretched.insert(stretched.end(), samples_per_chip, chip);
   }
   // Mean-remove the pattern so a perfectly aligned window scores exactly
   // 1.0 even for patterns with nonzero disparity (Barker codes have a
   // small DC component the windowed mean-removal would otherwise lose).
   double mean = 0.0;
-  for (const float v : stretched_) mean += v;
-  mean /= static_cast<double>(stretched_.size());
+  for (const float v : stretched) mean += v;
+  mean /= static_cast<double>(stretched.size());
   pattern_energy_ = 0.0;
   pattern_sum_ = 0.0;
-  for (auto& v : stretched_) {
+  for (auto& v : stretched) {
     v -= static_cast<float>(mean);
     pattern_energy_ += static_cast<double>(v) * v;
     pattern_sum_ += static_cast<double>(v);
   }
-  window_len_ = stretched_.size();
-  // Widen the taps once: double(float) is exact, so the dot kernels can
-  // broadcast-load doubles without changing any product.
-  pattern_d_.assign(stretched_.begin(), stretched_.end());
+  window_len_ = stretched.size();
+  // Widen the taps once: double(float) is exact, so every product in
+  // dot_one is the exact float×float product.
+  pattern_d_.assign(stretched.begin(), stretched.end());
+  for (std::size_t c = 0; c < pattern.size(); ++c) {
+    chip_taps_.push_back(pattern_d_[c * samples_per_chip]);
+  }
+
+  // The box-kernel bound's constants (header comment, step 1). With
+  // W taps, C chips, s samples per chip, u = 2^-53:
+  //   |T - S| <= u' (|d| Q + Ymax Σ_k w_k |p_k|), Q and Σ_k w_k |p_k|
+  //     from tree_partials over the taps;
+  //   |B - S| <= u' (Ymax s Pabs (s + C + 2) + |d| (2 |P| + eP / u)),
+  //     Pabs = Σ_c |p_c|: the offset subtraction and the box sums put
+  //     at most u' s² Ymax on each box, the chip dot (C FMAs and one
+  //     combine) u' (C + 1) s Pabs Ymax, the offset term and the final
+  //     add u' (s Pabs Ymax + 2 |d| |P|). P = Σ_k p_k is summed with
+  //     TwoSum so eP (the sum of its exact rounding errors, 0 for every
+  //     realistic pattern) bounds |P - fl(P)|.
+  // The W³ 2^-50 term covers the rounding of the taps' own partial
+  // sums, and the (1 + 2^-20) factor the second-order terms, the
+  // rounding of the constants and of E's own operations, for W <= 2^28.
+  //
+  // T = S exactly when no addition of dot_one rounds: every product
+  // x_k p_k is a multiple of 2^(gx + gp), gx and gp the grids of the
+  // block's smallest |x| and of the taps, and so is every exact
+  // partial; a partial of magnitude at most 2^(53 + gx + gp) is then a
+  // double, so by induction each addition returns it exactly. Each
+  // partial is at most |d| max_a |P_a| + Ymax Σ_k |p_k| (tree_partials'
+  // maxima). Blocks that pass this test (an envelope dominated by its
+  // DC level, the common case, does) drop |T - S| from E.
+  const double w = static_cast<double>(window_len_);
+  const double spc = static_cast<double>(samples_per_chip);
+  const double chips = static_cast<double>(pattern.size());
+  // pattern_sum_ again (same terms, same order) with TwoSum's exact
+  // rounding errors.
+  double psum = 0.0, psum_err = 0.0;
+  for (const double p : pattern_d_) {
+    const double t = psum + p;
+    const double pp = t - psum;
+    psum_err += std::abs((psum - (t - pp)) + (p - pp));
+    psum = t;
+  }
+  assert(psum == pattern_sum_);
+  double chip_abs = 0.0;
+  tap_grid_ = 0;
+  for (const double p : chip_taps_) {
+    chip_abs += std::abs(p);
+    if (p != 0.0) tap_grid_ = std::min(tap_grid_, grid_exponent(p));
+  }
+  const auto signed_partials =
+      tree_partials(pattern_d_, [](double p) { return p; });
+  const auto abs_partials =
+      tree_partials(pattern_d_, [](double p) { return std::abs(p); });
+  constexpr double kMargin = 1.0 + 0x1p-20;
+  constexpr double kScale = 0x1p-53 * kMargin;
+  const double slack = w * w * w * 0x1p-50;
+  const double box_offset = 2.0 * std::abs(pattern_sum_) + psum_err * 0x1p53;
+  const double box_spread = spc * chip_abs * (spc + chips + 3.0);
+  exact_bound_ = {kScale * box_offset, kScale * box_spread};
+  bound_ = {kScale * (signed_partials.sum + slack + box_offset),
+            kScale * (abs_partials.sum + box_spread)};
+  partial_offset_ = kMargin * (signed_partials.max + slack);
+  partial_spread_ = kMargin * kMargin * abs_partials.max;
+
   hist_.assign(window_len_ - 1 + kBlock, 0.0f);
   cursor_ = window_len_ - 1;
 }
@@ -237,8 +575,8 @@ void SlidingCorrelator::refresh_sums(const float* window) {
 double SlidingCorrelator::dot_one(const float* win) const {
   // Four independent partial sums break the sequential FP chain so the
   // loop vectorizes under strict FP math; the combine order is fixed,
-  // keeping results deterministic — and it is the exact summation tree
-  // every lane of the blocked SIMD kernel reproduces.
+  // keeping results deterministic. The box kernel's bound is derived
+  // for exactly this tree (tree_partials mirrors it).
   const double* pat = pattern_d_.data();
   const std::size_t w = window_len_;
   double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
@@ -256,67 +594,34 @@ double SlidingCorrelator::dot_one(const float* win) const {
   return dot;
 }
 
-double SlidingCorrelator::dot_one_d(const double* win) const {
-  // Widened-window twin of dot_one: win[k] is float-valued (the
-  // widening is exact), so every product and the whole tree are
-  // bit-identical to the float version.
-  const double* pat = pattern_d_.data();
-  const std::size_t w = window_len_;
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  std::size_t k = 0;
-  for (; k + 4 <= w; k += 4) {
-    d0 += win[k] * pat[k];
-    d1 += win[k + 1] * pat[k + 1];
-    d2 += win[k + 2] * pat[k + 2];
-    d3 += win[k + 3] * pat[k + 3];
-  }
-  double dot = (d0 + d1) + (d2 + d3);
-  for (; k < w; ++k) {
-    dot += win[k] * pat[k];
-  }
-  return dot;
-}
-
-void SlidingCorrelator::dot_block(SimdTarget target, const double* first,
-                                  std::size_t n, double* dots) const {
-  std::size_t j = 0;
-#if defined(__x86_64__)
-  if (target == SimdTarget::kAvx512f) {
-    j = dot_block_avx512f(pattern_d_.data(), window_len_, first, n, dots);
-  } else if (target == SimdTarget::kAvx2Fma) {
-    j = dot_block_avx2_fma(pattern_d_.data(), window_len_, first, n, dots);
-  }
-#else
-  (void)target;
-#endif
-  for (; j < n; ++j) dots[j] = dot_one_d(first + j);
-}
-
 void SlidingCorrelator::process(std::span<const float> in,
                                 std::span<float> out) {
   // One dispatch path for every build: the target is the host CPU's
   // widest supported kernel, not the compiler's -march.
-  process_blocked(simd_dispatch_target(), in, out);
+  process_blocked(simd_dispatch_target(), in, out, false);
 }
 
 void SlidingCorrelator::process_blocked(SimdTarget target,
                                         std::span<const float> in,
-                                        std::span<float> out) {
-  // Without a vector ISA the blocked restructure is pure overhead (the
-  // dots fall back to dot_one anyway); the single-pass scalar loop is
-  // the faster — and definitionally bit-identical — path.
+                                        std::span<float> out,
+                                        bool force_exact) {
+#if defined(__x86_64__)
+  // Without a vector ISA the blocked restructure is pure overhead; the
+  // single-pass scalar loop is the faster — and definitionally
+  // bit-identical — path.
   if (target == SimdTarget::kScalar) {
     process_scalar(in, out);
     return;
   }
-  // Three passes per block, each matching the scalar reference's
-  // per-sample op order exactly — the dot is a pure function of the
-  // window, so deferring it past the bookkeeping changes nothing:
+  check_spans(in, out);
+  // Three passes per block:
   //   1. bookkeeping: running sum/energy, refresh, per-output mean/denom
-  //   2. blocked pattern dots for the warmed-up suffix
-  //   3. elementwise normalisation into out
-  assert(in.size() == out.size());
+  //      (the scalar reference's per-sample op order exactly);
+  //   2. box sums of the block's samples less the offset d;
+  //   3. chip dots, normalization of both bound ends, and the exact
+  //      recompute of every output the bound cannot settle.
   const std::size_t w = window_len_;
+  const std::size_t spc = samples_per_chip_;
   const double inv_w = 1.0 / static_cast<double>(w);
   std::size_t done = 0;
   while (done < in.size()) {
@@ -327,11 +632,10 @@ void SlidingCorrelator::process_blocked(SimdTarget target,
     // base[i .. i+w-1] is the window ending at chunk sample i.
     const float* base = hist_.data() + cursor_ - (w - 1);
     float* o = out.data() + done;
-    if (mean_buf_.size() < take) {
-      mean_buf_.resize(take);
-      denom_buf_.resize(take);
-      dot_buf_.resize(take);
-      win_d_.resize(take + w - 1);
+    if (mean_buf_.size() < take + kPad) {
+      mean_buf_.resize(take + kPad);
+      denom_buf_.resize(take + kPad);
+      box_.resize(take + w - 1 + kPad);
     }
     std::size_t warm = take;  // first output with a full window
     for (std::size_t i = 0; i < take; ++i) {
@@ -352,37 +656,59 @@ void SlidingCorrelator::process_blocked(SimdTarget target,
       sum_ -= oldest;
       sumsq_ -= oldest * oldest;
     }
+    std::fill_n(o, warm, 0.0f);
     if (warm < take) {
-      // Widen the touched window range to double once (exact), so the
-      // blocked kernel's inner loop is pure load+broadcast+FMA instead
-      // of converting every sample once per tap it participates in.
-      const std::size_t span = (take - warm) + w - 1;
-      const float* src = base + warm;
-      for (std::size_t i = 0; i < span; ++i) {
-        win_d_[i] = static_cast<double>(src[i]);
+      const std::size_t n = take - warm;
+      // The offset: the first window's mean, rounded to float, so x - d
+      // is exact whenever the two exponents differ by at most 28 (every
+      // sample of a DC-dominated block).
+      float d = static_cast<float>(mean_buf_[warm]);
+      if (!std::isfinite(d)) d = 0.0f;
+      const auto boxes = target == SimdTarget::kAvx512f ? box_sums_avx512f
+                                                         : box_sums_avx2_fma;
+      const BoxStats st = boxes(base + warm, n + w - 1, spc, d, box_.data());
+      const double dmag = std::abs(static_cast<double>(d));
+      const bool exact_dot =
+          st.xmin > 0.0 && st.xmin <= DBL_MAX &&
+          partial_offset_ * dmag + partial_spread_ * st.ymax <=
+              std::ldexp(1.0, 53 + grid_exponent(st.xmin) + tap_grid_);
+      const BoxBound& e = exact_dot ? exact_bound_ : bound_;
+      double bound = e.offset * dmag + e.spread * st.ymax;
+      if (force_exact || !(bound <= DBL_MAX)) {
+        bound = std::numeric_limits<double>::infinity();
       }
-      dot_block(target, win_d_.data(), take - warm, dot_buf_.data());
-    }
-    for (std::size_t i = 0; i < warm; ++i) o[i] = 0.0f;
-    for (std::size_t i = warm; i < take; ++i) {
-      const double denom = denom_buf_[i];
-      if (denom >= 1e-12) {
-        // Mean removal folds into the dot product: with p already
-        // (almost) zero-mean, sum((v-mean)*p) = sum(v*p) - mean*sum(p).
-        const double dot = dot_buf_[i - warm] - mean_buf_[i] * pattern_sum_;
-        o[i] = static_cast<float>(dot / denom);
-      } else {
-        o[i] = 0.0f;
-      }
+      const BoxBlock block{box_.data(),
+                           chip_taps_.data(),
+                           chip_taps_.size(),
+                           spc,
+                           mean_buf_.data() + warm,
+                           denom_buf_.data() + warm,
+                           static_cast<double>(d) * pattern_sum_,
+                           bound,
+                           pattern_sum_,
+                           o + warm,
+                           n,
+                           base + warm,
+                           pattern_d_.data(),
+                           w};
+      exact_recomputes_ += target == SimdTarget::kAvx512f
+                               ? box_dots_avx512f(block)
+                               : box_dots_avx2_fma(block);
     }
     cursor_ += take;
     done += take;
   }
+#else
+  // Only kScalar is supported off x86-64.
+  (void)target;
+  (void)force_exact;
+  process_scalar(in, out);
+#endif
 }
 
 void SlidingCorrelator::process_scalar(std::span<const float> in,
                                        std::span<float> out) {
-  assert(in.size() == out.size());
+  check_spans(in, out);
   const std::size_t w = window_len_;
   const double inv_w = 1.0 / static_cast<double>(w);
   std::size_t done = 0;

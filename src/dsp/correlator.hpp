@@ -5,27 +5,60 @@
 // to the (large, slowly varying) ambient-carrier DC level.
 //
 // Batch-first: the primary API is process(span, span), which keeps the
-// window in a contiguous history buffer (no modulo indexing), tracks
-// the window mean and energy incrementally, and computes the pattern
-// dots through an output-blocked SIMD kernel. The kernel is chosen once
-// per process from what the running CPU supports, not what the build
-// targets: on x86-64 the AVX-512F (8-wide) and AVX2+FMA (4-wide) bodies
-// are compiled as target-attribute functions into every build, and the
-// widest one the host has runs; hosts with neither, and non-x86 builds,
-// run process_scalar. process_scalar(span, span) is the bit-exact
-// scalar reference the SIMD path is verified against; process(x) is a
-// specialized single-sample path over the same arithmetic. All three
-// are bit-identical for any chunking of the stream:
+// window in a contiguous history buffer (no modulo indexing) and tracks
+// the window mean and energy incrementally. process_scalar(span, span)
+// is the definition: per output it takes the pattern dot with dot_one()
+// (a fixed summation tree over the W = chips × samples_per_chip taps)
+// and normalizes it. process(x) is a single-sample path over the same
+// arithmetic. process(span) gives the same bits for any chunking of the
+// stream, but reaches most dots another way.
 //
-//   * every float×float product is exact in double (24+24 < 53 bits),
-//     so vector FMA ≡ scalar multiply-then-add, and
-//   * the dot's summation tree is fixed (four k-mod-4 partial sums
-//     combined as (d0+d1)+(d2+d3), then a sequential tail) and each
-//     SIMD lane reproduces that tree exactly, one output per lane.
-//
-// The TU is compiled with -ffp-contract=off so the genuinely
-// contraction-sensitive double×double expressions (energy and
-// mean-removal folds) round identically in every path.
+// The chip-box kernel. The stretched pattern is constant over each
+// chip, so with a per-block offset d the window dot is
+//   S = Σ_k x_k p_k = Σ_c p_c · box_c + d · Σ_k p_k,
+//   box_c = Σ over chip c's taps of (x_k - d):
+// C chip terms over sliding box sums instead of W taps. Its rounding
+// differs from dot_one's, so process(span) emits it only where it
+// provably yields the same float, and recomputes the rest exactly.
+// Exactness (the argument Rng::fill_cn uses):
+//   1. Bound. E >= |B - T|, where B is the box kernel's double and T
+//      the double dot_one() returns for the same window. T's error
+//      against the exact S is at most u' · Σ over dot_one's additions
+//      of |exact partial sum| (u' = 2^-53 · (1 + 2^-20) covers the
+//      second-order terms for W <= 2^28). Writing x_k = d + y_k, each
+//      partial is bounded by |d| · |its taps' sum| + Σ |y_k||p_k| over
+//      its taps, so the sum is at most |d| · Q + Σ_k w_k |y_k||p_k|:
+//      Q and the weights w_k (how many partials hold tap k) depend only
+//      on the pattern and are fixed at construction. B's own rounding
+//      (the offset subtraction, the box sums, the chip dot, the offset
+//      term) adds the same two shapes, so
+//        E = u' · (|d| · Qt + Ymax · Kt),  Ymax = max |x_k - d|
+//      over the block, with Qt and Kt computed once per pattern. When
+//      every product and exact partial sum of dot_one lies on a grid
+//      fine enough to hold it (fixed by the block's smallest |x| and
+//      the taps), no addition of dot_one rounds, T = S, and E keeps
+//      only B's own terms; an envelope dominated by its DC level is
+//      such a block.
+//   2. Round both ends. T is a double inside the real interval
+//      [B - E, B + E]; rounding is monotone, so T lies in
+//      [fl(B - E), fl(B + E)]. The normalization
+//        t -> float((t - mean · pattern_sum) / denom)
+//      is monotone in t for denom > 0 (each step rounds monotonically),
+//      so T's float lies between the floats of the two ends.
+//   3. Emit or recompute. When the two ends' floats have the same bits,
+//      that float is T's: it is bracketed by them, and its sign is
+//      that of T - mean · pattern_sum, which is never -0 (dot_one's
+//      sums start at +0). Any output whose ends differ, whose B is not
+//      finite, or whose block bound is not finite (an inf or NaN
+//      sample) is recomputed on dot_one's own tree, four windows at a
+//      time (one vector lane per k-mod-4 partial, so each lane repeats
+//      dot_one's additions); exact_recomputes() counts those.
+// The kernel runs AVX-512F or AVX2+FMA bodies, compiled into every
+// x86-64 build as target-attribute functions and picked at runtime
+// from the host CPU (util/simd_target.hpp); hosts with neither, and
+// non-x86 builds, run process_scalar. The TU is compiled with
+// -ffp-contract=off so the normalization's double×double steps round
+// identically in every path.
 #pragma once
 
 #include <cstddef>
@@ -47,49 +80,69 @@ namespace detail {
 void correlator_process_on(SlidingCorrelator& corr, SimdTarget target,
                            std::span<const float> in, std::span<float> out);
 
+/// process(span) with the box kernel's acceptance forced off, so every
+/// warmed-up output with a live denominator takes the exact recompute.
+/// Internal: the equivalence tests pin that path to process_scalar too.
+void correlator_process_exact_only(SlidingCorrelator& corr,
+                                   std::span<const float> in,
+                                   std::span<float> out);
+
 }  // namespace detail
 
 class SlidingCorrelator {
  public:
   /// `pattern` holds ±1 chips; `samples_per_chip` stretches each chip.
+  /// Throws std::invalid_argument for an empty pattern, a zero
+  /// `samples_per_chip`, a chip other than ±1, or a window longer than
+  /// 2^28 taps.
   SlidingCorrelator(std::vector<float> pattern, std::size_t samples_per_chip);
 
   /// Pushes one envelope sample; returns the normalised correlation in
   /// [-1, 1] once the window has filled (0 before that, including the
   /// samples leading up to — but not — the exact-fill sample).
   /// Specialized single-sample path (no span/loop overhead), same
-  /// arithmetic as the batch kernels.
+  /// arithmetic as process_scalar.
   float process(float x);
 
   /// Batch kernel: out[i] is the correlation after pushing in[i].
   /// Arbitrary span lengths; state carries across calls, so splitting a
-  /// stream into chunks of any size yields bit-identical output. Pattern
-  /// dots run through the output-blocked SIMD kernel when the host CPU
-  /// provides one (see simd_dispatch_target).
+  /// stream into chunks of any size yields bit-identical output. Dots
+  /// run through the chip-box kernel when the host CPU provides one
+  /// (see simd_dispatch_target). Throws std::invalid_argument when the
+  /// spans differ in length.
   void process(std::span<const float> in, std::span<float> out);
 
-  /// Scalar determinism reference: the per-sample loop the SIMD path
+  /// Scalar determinism reference: the per-sample loop the box kernel
   /// must match bit-for-bit (pinned by tests/dsp/batch_equivalence).
-  /// Same state machine as process(span, span); only the dot kernel
-  /// differs in shape, not in arithmetic.
+  /// Same state machine as process(span, span). Throws
+  /// std::invalid_argument when the spans differ in length.
   void process_scalar(std::span<const float> in, std::span<float> out);
 
   /// True once the internal window is full and outputs are meaningful.
   bool warmed_up() const { return total_ >= window_len_; }
 
   std::size_t window_length() const { return window_len_; }
+
+  /// Outputs the box kernel recomputed on dot_one's tree since
+  /// construction (its bound could not prove the box value's float).
+  /// reset() keeps the count.
+  std::uint64_t exact_recomputes() const { return exact_recomputes_; }
+
   void reset();
 
  private:
   friend void detail::correlator_process_on(SlidingCorrelator&, SimdTarget,
                                             std::span<const float>,
                                             std::span<float>);
+  friend void detail::correlator_process_exact_only(SlidingCorrelator&,
+                                                    std::span<const float>,
+                                                    std::span<float>);
 
   /// process(span) with the dots on `target` (which must be supported):
-  /// the three-pass blocked batch loop behind the SIMD targets, or
-  /// process_scalar for kScalar.
+  /// the blocked loop behind the SIMD targets, or process_scalar for
+  /// kScalar. `force_exact` recomputes every live output exactly.
   void process_blocked(SimdTarget target, std::span<const float> in,
-                       std::span<float> out);
+                       std::span<float> out, bool force_exact);
 
   void compact();
   void refresh_sums(const float* window);
@@ -98,22 +151,28 @@ class SlidingCorrelator {
   /// combined (d0+d1)+(d2+d3) plus a sequential tail.
   double dot_one(const float* win) const;
 
-  /// Same summation tree over an already float→double-widened window
-  /// (the widening is exact, so the two are bit-identical).
-  double dot_one_d(const double* win) const;
-
-  /// Blocked dots over the widened window: dots[j] = dot of the window
-  /// starting at first + j, for j in [0, n), with consecutive outputs
-  /// mapped to `target`'s SIMD lanes (each lane reproduces dot_one's
-  /// tree exactly) and the remainder finished by dot_one_d.
-  void dot_block(SimdTarget target, const double* first, std::size_t n,
-                 double* dots) const;
-
-  std::vector<float> stretched_;   // pattern expanded & mean-removed
-  std::vector<double> pattern_d_;  // same taps widened once for the dot
+  std::vector<double> pattern_d_;  // stretched, mean-removed taps
+  std::vector<double> chip_taps_;  // one tap per chip (p_c)
+  std::size_t samples_per_chip_ = 0;
   double pattern_energy_ = 0.0;
-  double pattern_sum_ = 0.0;  // residual DC of the float-rounded pattern
+  // Residual DC of the float-rounded pattern (Σ_k p_k, rounded): the
+  // mean-removal fold's and the box kernel's d · P term's P.
+  double pattern_sum_ = 0.0;
   std::size_t window_len_ = 0;
+  // Box-kernel bound E = offset · |d| + spread · Ymax (the u' · Qt and
+  // u' · Kt of the header comment); exact_bound_ drops dot_one's own
+  // rounding, for blocks where none can occur: every partial of
+  // dot_one is at most partial_offset_ · |d| + partial_spread_ · Ymax,
+  // and every tap is a multiple of 2^tap_grid_.
+  struct BoxBound {
+    double offset = 0.0;
+    double spread = 0.0;
+  };
+  BoxBound bound_;
+  BoxBound exact_bound_;
+  double partial_offset_ = 0.0;
+  double partial_spread_ = 0.0;
+  int tap_grid_ = 0;
 
   // Contiguous history: hist_[cursor_ - (window_len_-1) .. cursor_) holds
   // the most recent window_len_-1 samples; incoming blocks append at
@@ -122,13 +181,13 @@ class SlidingCorrelator {
   std::vector<float> hist_;
   std::size_t cursor_ = 0;
 
-  // Per-block scratch for the two-pass batch kernel (bookkeeping pass
-  // records mean/denom per output, dot pass fills dots). Lazily sized to
-  // the largest block processed so far.
+  // Per-block scratch for the batch kernel (bookkeeping pass records
+  // mean/denom per output; box_ holds the block's offset samples, then
+  // in place its chip boxes). Lazily sized to the largest block so far,
+  // padded so the last lane group loads in bounds.
   std::vector<double> mean_buf_;
   std::vector<double> denom_buf_;
-  std::vector<double> dot_buf_;
-  std::vector<double> win_d_;  // window widened to double once per block
+  std::vector<double> box_;
 
   // Incremental window statistics (doubles: float inputs accumulate
   // exactly enough precision, and a periodic refresh re-derives them
@@ -137,6 +196,7 @@ class SlidingCorrelator {
   double sum_ = 0.0;
   double sumsq_ = 0.0;
   std::uint64_t total_ = 0;  // samples ever pushed (drives warm-up)
+  std::uint64_t exact_recomputes_ = 0;
 };
 
 /// Peak picker: reports a detection when the correlation exceeds

@@ -28,6 +28,7 @@ struct ModemConfig {
 /// Transmit side: payload -> per-sample antenna states (0/1).
 class BackscatterTx {
  public:
+  /// Throws std::invalid_argument when !config.rates.valid().
   explicit BackscatterTx(ModemConfig config);
 
   /// Full burst: preamble chips + framed payload, expanded to samples.
@@ -69,6 +70,7 @@ struct RxResult {
 /// hands the whole capture (as an SDR capture or a simulation run).
 class BackscatterRx {
  public:
+  /// Throws std::invalid_argument when !config.rates.valid().
   explicit BackscatterRx(ModemConfig config);
 
   /// Locates the preamble and decodes one framed payload.

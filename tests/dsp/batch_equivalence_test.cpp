@@ -9,8 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
+#include <limits>
+#include <utility>
 #include <span>
 #include <string>
 #include <vector>
@@ -207,6 +212,177 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string("Scalar");
     });
+
+/// Streams built to stress the box kernel's bound (correlator.hpp): each
+/// crosses the 4096-sample block seam and the 2^15-sample refresh.
+struct AdversarialStream {
+  const char* name;
+  std::vector<float> samples;
+};
+
+std::vector<AdversarialStream> adversarial_streams() {
+  constexpr std::size_t kTotal = 70000;
+  Rng rng(2024);
+  const auto make = [&](const char* name, auto sample) {
+    AdversarialStream s{name, std::vector<float>(kTotal)};
+    for (std::size_t i = 0; i < kTotal; ++i) s.samples[i] = sample(i);
+    return s;
+  };
+  std::vector<AdversarialStream> streams;
+  // A DC level 10^6 times the swing: under the step pattern below,
+  // dot_one's own rounding spans a good share of the output's float
+  // spacing here.
+  streams.push_back(make("dc_1e6", [&](std::size_t) {
+    return 1.0f + 1.0e-6f * ((rng.uniform() < 0.5 ? 1.0f : -1.0f) +
+                             0.25f * static_cast<float>(rng.normal()));
+  }));
+  streams.push_back(make("magnitudes_1e-30_1e30", [&](std::size_t) {
+    const double mag = std::pow(10.0, rng.uniform(-30.0, 30.0));
+    return static_cast<float>(rng.uniform() < 0.5 ? mag : -mag);
+  }));
+  streams.push_back(make("negative_and_signed_zero", [&](std::size_t) {
+    switch (rng.uniform_int(4)) {
+      case 0:
+        return 0.0f;
+      case 1:
+        return -0.0f;
+      case 2:
+        return -1.0f - static_cast<float>(rng.uniform());
+      default:
+        return -2.0f + 0.5f * static_cast<float>(rng.normal());
+    }
+  }));
+  // Runs far longer than a window of one value (denom < 1e-12), some of
+  // them one ulp off at a single sample, between noisy stretches.
+  float level = 0.0f;
+  std::size_t run_left = 0;
+  streams.push_back(make("constant_windows", [&](std::size_t) {
+    if (run_left == 0) {
+      constexpr float kLevels[] = {0.0f, 1.0f, 0.1f, 1.0e6f, -3.5f};
+      level = kLevels[rng.uniform_int(std::size(kLevels))];
+      run_left = 300 + rng.uniform_int(3000);
+    }
+    --run_left;
+    if (run_left % 1000 == 999) return 1.0f + static_cast<float>(rng.normal());
+    if (run_left == 500) return std::nextafter(level, 1e30f);
+    return level;
+  }));
+  streams.push_back(make("subnormals", [&](std::size_t) {
+    const auto k = static_cast<float>(rng.uniform_int(1u << 20));
+    switch (rng.uniform_int(4)) {
+      case 0:
+        return k * 0x1p-149f;
+      case 1:
+        return -k * 0x1p-149f;
+      case 2:
+        return 0x1p-126f * static_cast<float>(rng.uniform());
+      default:
+        return 0.0f;
+    }
+  }));
+  // Sparse NaN and infinities in noise: each poisons the running sums
+  // until the next refresh, and its windows' box dots.
+  streams.push_back(make("nan_and_inf", [&](std::size_t i) {
+    if (i % 9001 == 4000) return std::numeric_limits<float>::quiet_NaN();
+    if (i % 17003 == 100) return std::numeric_limits<float>::infinity();
+    if (i % 23011 == 7) return -std::numeric_limits<float>::infinity();
+    return 1.0f + 0.1f * static_cast<float>(rng.normal());
+  }));
+  return streams;
+}
+
+/// Correlates `in` in random chunks of `chunk_seed` through `feed` on a
+/// fresh correlator for `pattern` at `spc`; returns the outputs and the
+/// correlator's recompute count.
+template <typename Feed>
+std::pair<std::vector<float>, std::uint64_t> correlate_adversarial(
+    const std::vector<float>& pattern, std::size_t spc,
+    const std::vector<float>& in, std::uint64_t chunk_seed, Feed feed) {
+  SlidingCorrelator corr(pattern, spc);
+  std::vector<float> out(in.size());
+  Rng chunk_rng(chunk_seed);
+  std::size_t pos = 0;
+  for (const std::size_t n : random_chunks(in.size(), chunk_rng)) {
+    feed(corr, std::span<const float>(in.data() + pos, n),
+         std::span<float>(out.data() + pos, n));
+    pos += n;
+  }
+  return {out, corr.exact_recomputes()};
+}
+
+/// find_sync's pattern and stretch; an odd chip count whose window is
+/// not a multiple of four taps (dot_one's sequential tail); and a step
+/// (18 chips of +1, then 16 of -1) whose partial sums grow to about
+/// W/4 and whose mean-removed taps carry full float mantissas, so that
+/// on a DC-dominated window dot_one rounds and the bound must cover it.
+std::vector<std::pair<std::vector<float>, std::size_t>> adversarial_patterns() {
+  std::vector<float> step(34, 1.0f);
+  std::fill(step.begin() + 18, step.end(), -1.0f);
+  return {{phy::chips_to_pattern(phy::default_preamble_chips()), 10},
+          {phy::chips_to_pattern(phy::barker13_chips()), 3},
+          {step, 10}};
+}
+
+void expect_same_bits(const std::vector<float>& want,
+                      const std::vector<float>& got, const char* what) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want[i]),
+              std::bit_cast<std::uint32_t>(got[i]))
+        << what << " diverged at " << i << ": " << want[i] << " vs "
+        << got[i];
+  }
+}
+
+TEST_P(SlidingCorrelatorTarget, MatchesScalarOnAdversarialStreams) {
+  // The box kernel emits its own float only where the interval bound
+  // proves it equals dot_one's; everything else is recomputed. Pinned
+  // bit for bit (signed zeros included) against process_scalar on
+  // every target the host has, with random chunkings.
+  const auto target = GetParam();
+  if (!simd_target_supported(target)) {
+    GTEST_SKIP() << simd_target_name(target)
+                 << " is not supported on this CPU";
+  }
+  for (const auto& [pattern, spc] : adversarial_patterns()) {
+    for (const auto& stream : adversarial_streams()) {
+      SCOPED_TRACE(std::string(stream.name) + ", window " +
+                   std::to_string(pattern.size() * spc));
+      const auto ref = correlate_adversarial(
+          pattern, spc, stream.samples, 5,
+          [](SlidingCorrelator& c, auto x, auto y) { c.process_scalar(x, y); });
+      const auto got = correlate_adversarial(
+          pattern, spc, stream.samples, 6,
+          [target](SlidingCorrelator& c, auto x, auto y) {
+            detail::correlator_process_on(c, target, x, y);
+          });
+      expect_same_bits(ref.first, got.first, simd_target_name(target));
+    }
+  }
+}
+
+TEST(BatchEquivalence, SlidingCorrelatorExactOnlyAdversarial) {
+  // The recompute path alone (every live output through the batched
+  // exact dots) must reproduce process_scalar too.
+  for (const auto& [pattern, spc] : adversarial_patterns()) {
+    for (const auto& stream : adversarial_streams()) {
+      SCOPED_TRACE(stream.name);
+      const auto ref = correlate_adversarial(
+          pattern, spc, stream.samples, 7,
+          [](SlidingCorrelator& c, auto x, auto y) { c.process_scalar(x, y); });
+      const auto got = correlate_adversarial(
+          pattern, spc, stream.samples, 8,
+          [](SlidingCorrelator& c, auto x, auto y) {
+            detail::correlator_process_exact_only(c, x, y);
+          });
+      expect_same_bits(ref.first, got.first, "exact-only");
+      // Every window of this stream has a live denominator.
+      if (simd_dispatch_target() != SimdTarget::kScalar &&
+          std::string(stream.name) == "dc_1e6") {
+        EXPECT_EQ(got.second, stream.samples.size() - pattern.size() * spc + 1);
+      }
+    }
+  }
+}
 
 TEST(BatchEquivalence, SlidingCorrelatorSimdDispatch) {
   // process(span) runs the widest kernel the CPU has, checked here

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "phy/preamble.hpp"
@@ -127,6 +129,50 @@ TEST(SlidingCorrelator, ResetRestartsWarmup) {
   corr.reset();
   EXPECT_FALSE(corr.warmed_up());
   EXPECT_FLOAT_EQ(corr.process(0.7f), 0.0f);
+}
+
+TEST(SlidingCorrelator, RejectsBadConstruction) {
+  // Rejected in every build: an empty pattern or a zero stretch would
+  // leave a zero-length window (window_len_ - 1 wraps), and a chip other
+  // than ±1 breaks the chip-box kernel's two-tap pattern.
+  EXPECT_THROW(SlidingCorrelator({}, 4), std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator({1.0f, -1.0f}, 0), std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator({1.0f, 0.5f}, 4), std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator({1.0f, std::nanf("")}, 4),
+               std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator({1.0f, -1.0f}, std::size_t{1} << 28),
+               std::invalid_argument);
+  EXPECT_NO_THROW(SlidingCorrelator({1.0f}, 1));
+}
+
+TEST(SlidingCorrelator, RejectsMismatchedSpans) {
+  SlidingCorrelator corr(phy::chips_to_pattern(phy::barker13_chips()), 4);
+  std::vector<float> in(100, 1.0f), out(99);
+  EXPECT_THROW(corr.process(in, out), std::invalid_argument);
+  EXPECT_THROW(corr.process_scalar(in, out), std::invalid_argument);
+  EXPECT_THROW(detail::correlator_process_exact_only(corr, in, out),
+               std::invalid_argument);
+  out.resize(101);
+  EXPECT_THROW(corr.process(in, out), std::invalid_argument);
+  // Nothing was consumed by the rejected calls.
+  EXPECT_EQ(out, std::vector<float>(101, 0.0f));
+  EXPECT_FALSE(corr.warmed_up());
+}
+
+TEST(SlidingCorrelator, CountsExactRecomputes) {
+  // The exact-only hook recomputes every live output and counts each;
+  // the scalar reference never does.
+  const auto pattern = phy::chips_to_pattern(phy::barker13_chips());
+  SlidingCorrelator corr(pattern, 4);
+  Rng rng(3);
+  std::vector<float> in(1000), out(in.size());
+  for (auto& x : in) x = static_cast<float>(rng.uniform());
+  corr.process_scalar(in, out);
+  EXPECT_EQ(corr.exact_recomputes(), 0u);
+  detail::correlator_process_exact_only(corr, in, out);
+  if (simd_dispatch_target() != SimdTarget::kScalar) {
+    EXPECT_EQ(corr.exact_recomputes(), in.size());
+  }
 }
 
 TEST(PeakDetector, ReportsPeakAfterLockout) {

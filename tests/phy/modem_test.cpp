@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/rng.hpp"
 
 namespace fdb::phy {
@@ -31,6 +33,22 @@ std::vector<float> states_to_envelope(const std::vector<std::uint8_t>& states,
   for (const auto s : states) emit(s ? high : low);
   for (std::size_t i = 0; i < pad; ++i) emit(low);
   return env;
+}
+
+TEST(BackscatterRx, RejectsInvalidRates) {
+  // Rejected in every build, not only where assert() is live.
+  for (const auto bad : {&RateConfig::samples_per_chip,
+                         &RateConfig::asymmetry}) {
+    ModemConfig config = small_config();
+    config.rates.*bad = 0;
+    EXPECT_THROW(BackscatterRx{config}, std::invalid_argument);
+    EXPECT_THROW(BackscatterTx{config}, std::invalid_argument);
+  }
+  ModemConfig config = small_config();
+  config.rates.sample_rate_hz = 0.0;
+  EXPECT_THROW(BackscatterRx{config}, std::invalid_argument);
+  EXPECT_THROW(BackscatterTx{config}, std::invalid_argument);
+  EXPECT_NO_THROW(BackscatterRx{small_config()});
 }
 
 TEST(Modem, CleanChannelFrameRoundTrip) {
