@@ -591,13 +591,16 @@ int main(int argc, char** argv) {
     sec.add_row({r.name, r.items_per_rep, r.msps.count(), r.msps.mean(),
                  r.msps.ci95_halfwidth(), r.msps.min(), r.msps.max()});
   }
-  // Which build and dispatched kernels (the correlator's dots and
-  // fill_cn's noise block share one CPU detection) produced these
-  // numbers, so a committed trajectory file says what it measured.
-  const std::string isa = fdb::simd_target_name(fdb::simd_dispatch_target());
+  // Which build and dispatched kernels (the correlator's chip-box
+  // kernel and fill_cn's noise block) produced these numbers, so a
+  // committed trajectory file says what it measured.
+  const std::string isa =
+      fdb::simd_target_name(fdb::dsp::correlator_kernel_target());
+  const std::string noise_isa =
+      fdb::simd_target_name(fdb::simd_dispatch_target());
   const std::string build = fdb::sim::build_flavour();
   report.section("build", {"correlator_isa", "noise_isa", "build"})
-      .add_row({isa, isa, build});
+      .add_row({isa, noise_isa, build});
   const auto selected = [&stages](const char* name) {
     return std::any_of(stages.begin(), stages.end(),
                        [name](const NamedStage& s) { return s.name == name; });

@@ -31,10 +31,10 @@ constexpr std::uint64_t kRefreshMask = (1u << 15) - 1;
 // of the header's argument stay below u · 2^-20 up to here.
 constexpr std::size_t kMaxWindow = std::size_t{1} << 28;
 
-// Lanes of the widest box-kernel group. Per-output scratch is padded by
-// this much so the last, partial group loads in bounds; its extra lanes
-// are computed and dropped.
-constexpr std::size_t kPad = 8;
+// Lanes of a box-kernel group. Per-output scratch is padded by this
+// much so the last, partial group loads in bounds; its extra lanes are
+// computed and dropped.
+constexpr std::size_t kPad = 4;
 
 void check_spans(std::span<const float> in, std::span<float> out) {
   if (in.size() != out.size()) {
@@ -43,6 +43,28 @@ void check_spans(std::span<const float> in, std::span<float> out) {
         std::to_string(in.size()) + " vs " + std::to_string(out.size()) +
         ")");
   }
+}
+
+/// Reference pattern dot over the window at `win`: four k-mod-4
+/// partial sums combined (d0+d1)+(d2+d3) plus a sequential tail. Four
+/// independent partials break the sequential FP chain so the loop
+/// vectorizes under strict FP math; the combine order is fixed, keeping
+/// results deterministic. The box kernel's bound is derived for exactly
+/// this tree (tree_partials mirrors it).
+double dot_one(const float* win, const double* taps, std::size_t w) {
+  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+  std::size_t k = 0;
+  for (; k + 4 <= w; k += 4) {
+    d0 += static_cast<double>(win[k]) * taps[k];
+    d1 += static_cast<double>(win[k + 1]) * taps[k + 1];
+    d2 += static_cast<double>(win[k + 2]) * taps[k + 2];
+    d3 += static_cast<double>(win[k + 3]) * taps[k + 3];
+  }
+  double dot = (d0 + d1) + (d2 + d3);
+  for (; k < w; ++k) {
+    dot += static_cast<double>(win[k]) * taps[k];
+  }
+  return dot;
 }
 
 /// The partial sums of dot_one's tree (four k-mod-4 partials,
@@ -95,44 +117,6 @@ struct BoxStats {
   double xmin;  // min |x|
 };
 
-// dot_one of the windows at base + idx[j] for j < count, four windows
-// at a time: one 4-lane register per window holds its four k-mod-4
-// partials, so each lane adds the same exact float×float products in
-// the same order as dot_one's scalar d0..d3, and the combine and tail
-// are dot_one's own. Bit-identical to dot_one; the four windows' add
-// chains overlap where dot_one runs one. idx is padded to a multiple
-// of four (the padding lanes' dots are dropped). Compiled for AVX2 and
-// inlined into both box-kernel targets (AVX-512F includes it).
-__attribute__((target("avx2"), always_inline)) inline void exact_dots_avx2(
-    const float* base, const double* pat, std::size_t w,
-    const std::uint32_t* idx, std::size_t count, double* dots) {
-  for (std::size_t j = 0; j < count; j += 4) {
-    const float* win[4];
-    __m256d acc[4];
-    for (int r = 0; r < 4; ++r) {
-      win[r] = base + idx[j + r];
-      acc[r] = _mm256_setzero_pd();
-    }
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m256d p = _mm256_loadu_pd(pat + k);
-      for (int r = 0; r < 4; ++r) {
-        const __m256d x = _mm256_cvtps_pd(_mm_loadu_ps(win[r] + k));
-        acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(x, p));
-      }
-    }
-    for (std::size_t r = 0; r < 4 && j + r < count; ++r) {
-      alignas(32) double part[4];
-      _mm256_store_pd(part, acc[r]);
-      double dot = (part[0] + part[1]) + (part[2] + part[3]);
-      for (std::size_t t = k; t < w; ++t) {
-        dot += static_cast<double>(win[r][t]) * pat[t];
-      }
-      dots[j + r] = dot;
-    }
-  }
-}
-
 // One block of box-kernel outputs: output r (r < n) is the correlation
 // of the window whose chip c box is box[r + c·spc].
 struct BoxBlock {
@@ -152,166 +136,36 @@ struct BoxBlock {
   std::size_t w;
 };
 
-// Outputs the bound could not settle, recomputed kExactBatch at a time
-// with exact_dots_avx2 and normalized exactly as process_scalar does.
-constexpr std::size_t kExactBatch = 64;
-
-struct ExactQueue {
-  std::uint32_t idx[kExactBatch + 4];  // + padding to a multiple of 4
-  std::size_t n = 0;
-  std::uint64_t total = 0;
-};
-
-__attribute__((target("avx2"), always_inline)) inline void flush_exact(
-    const BoxBlock& b, ExactQueue& q) {
-  if (q.n == 0) return;
-  for (std::size_t j = q.n; j % 4 != 0; ++j) q.idx[j] = q.idx[q.n - 1];
-  double dots[kExactBatch + 4];
-  exact_dots_avx2(b.windows, b.taps, b.w, q.idx, q.n, dots);
-  for (std::size_t j = 0; j < q.n; ++j) {
-    const std::size_t i = q.idx[j];
-    const double dot = dots[j] - b.mean[i] * b.pattern_sum;
-    b.out[i] = static_cast<float>(dot / b.denom[i]);
+/// Overwrites the fast-path floats of the lanes set in `redo` of the
+/// group at output i with process_scalar's: dot_one, then the same
+/// normalization. Returns how many it recomputed.
+unsigned recompute_lanes(const BoxBlock& b, std::size_t i, unsigned redo) {
+  unsigned count = 0;
+  for (; redo != 0; redo &= redo - 1, ++count) {
+    const std::size_t j = i + static_cast<std::size_t>(__builtin_ctz(redo));
+    const double dot =
+        dot_one(b.windows + j, b.taps, b.w) - b.mean[j] * b.pattern_sum;
+    b.out[j] = static_cast<float>(dot / b.denom[j]);
   }
-  q.total += q.n;
-  q.n = 0;
+  return count;
 }
 
-/// Queues the lanes set in `redo` of the group at output i (after its
-/// fast-path floats are stored, which the recompute overwrites).
-__attribute__((target("avx2"), always_inline)) inline void queue_exact(
-    const BoxBlock& b, ExactQueue& q, std::size_t i, unsigned redo) {
-  if (redo == 0) return;
-  if (q.n + 8 > kExactBatch) flush_exact(b, q);
-  for (; redo != 0; redo &= redo - 1) {
-    q.idx[q.n++] = static_cast<std::uint32_t>(
-        i + static_cast<std::size_t>(__builtin_ctz(redo)));
-  }
-}
-
-// Box sums, per ISA: writes y_t = x_t - d for t < m into box, then in
+// The kernel has one body, AVX2+FMA, which also runs on AVX-512F
+// hosts: an AVX-512F build of the same loops timed no faster end to end.
+//
+// Box sums: writes y_t = x_t - d for t < m into box, then in
 // place box[t] = Σ_{j<spc} y_{t+j} for t <= m - spc (ascending groups
 // read only entries no earlier group has overwritten). Returns
 // max_t |y_t| and min_t |x_t|; NaN samples are skipped (max and min
 // keep their second operand), which is safe because every window
 // holding one has a NaN B and recomputes.
 //
-// Chip dots, per ISA: G lane groups at a time, each with two chains
+// Chip dots: G lane groups at a time, each with two chains
 // (even and odd chips) so the FMA latency overlaps. Each group then
 // maps both interval ends through the normalization, keeps the low
-// end's float where the denominator is live, and queues every live lane
-// whose two floats differ in bits (or whose B is not finite) for the
-// exact recompute. Each returns how many outputs it recomputed.
-
-__attribute__((target("avx512f"))) BoxStats box_sums_avx512f(
-    const float* x, std::size_t m, std::size_t spc, double d, double* box) {
-  const __m512d vd = _mm512_set1_pd(d);
-  __m512d vmax = _mm512_setzero_pd();
-  __m512d vmin = _mm512_set1_pd(kInf);
-  std::size_t t = 0;
-  for (; t + 8 <= m; t += 8) {
-    const __m512d xv = _mm512_cvtps_pd(_mm256_loadu_ps(x + t));
-    const __m512d y = _mm512_sub_pd(xv, vd);
-    _mm512_storeu_pd(box + t, y);
-    vmax = _mm512_max_pd(_mm512_abs_pd(y), vmax);
-    vmin = _mm512_min_pd(_mm512_abs_pd(xv), vmin);
-  }
-  alignas(64) double hi[8], lo[8];
-  _mm512_store_pd(hi, vmax);
-  _mm512_store_pd(lo, vmin);
-  BoxStats st{*std::max_element(hi, hi + 8), *std::min_element(lo, lo + 8)};
-  for (; t < m; ++t) {
-    box[t] = static_cast<double>(x[t]) - d;
-    st.ymax = std::max(st.ymax, std::abs(box[t]));
-    st.xmin = std::min(st.xmin, std::abs(static_cast<double>(x[t])));
-  }
-  const std::size_t boxes = m - spc + 1;
-  t = 0;
-  for (; t + 8 <= boxes; t += 8) {
-    __m512d acc = _mm512_loadu_pd(box + t);
-    for (std::size_t j = 1; j < spc; ++j) {
-      acc = _mm512_add_pd(acc, _mm512_loadu_pd(box + t + j));
-    }
-    _mm512_storeu_pd(box + t, acc);
-  }
-  for (; t < boxes; ++t) {
-    double acc = box[t];
-    for (std::size_t j = 1; j < spc; ++j) acc += box[t + j];
-    box[t] = acc;
-  }
-  return st;
-}
-
-template <int G>
-__attribute__((target("avx512f"), always_inline)) inline void
-box_groups_avx512f(const BoxBlock& b, std::size_t r, ExactQueue& q) {
-  __m512d acc[G][2];
-  for (int g = 0; g < G; ++g) {
-    acc[g][0] = _mm512_setzero_pd();
-    acc[g][1] = _mm512_setzero_pd();
-  }
-  const double* at = b.box + r;
-  std::size_t c = 0;
-  for (; c + 2 <= b.chips; c += 2, at += 2 * b.spc) {
-    const __m512d p0 = _mm512_set1_pd(b.chip[c]);
-    const __m512d p1 = _mm512_set1_pd(b.chip[c + 1]);
-    for (int g = 0; g < G; ++g) {
-      acc[g][0] = _mm512_fmadd_pd(p0, _mm512_loadu_pd(at + 8 * g), acc[g][0]);
-      acc[g][1] = _mm512_fmadd_pd(
-          p1, _mm512_loadu_pd(at + b.spc + 8 * g), acc[g][1]);
-    }
-  }
-  if (c < b.chips) {
-    const __m512d p0 = _mm512_set1_pd(b.chip[c]);
-    for (int g = 0; g < G; ++g) {
-      acc[g][0] = _mm512_fmadd_pd(p0, _mm512_loadu_pd(at + 8 * g), acc[g][0]);
-    }
-  }
-  const __m512d offset = _mm512_set1_pd(b.offset_dot);
-  const __m512d bound = _mm512_set1_pd(b.bound);
-  const __m512d psum = _mm512_set1_pd(b.pattern_sum);
-  const __m512d floor = _mm512_set1_pd(1e-12);
-  const __m512d big = _mm512_set1_pd(DBL_MAX);
-  for (int g = 0; g < G; ++g) {
-    const std::size_t i = r + 8 * g;
-    const __m512d dot =
-        _mm512_add_pd(_mm512_add_pd(acc[g][0], acc[g][1]), offset);
-    const __m512d mps = _mm512_mul_pd(_mm512_loadu_pd(b.mean + i), psum);
-    const __m512d den = _mm512_loadu_pd(b.denom + i);
-    const __m512d lo =
-        _mm512_div_pd(_mm512_sub_pd(_mm512_sub_pd(dot, bound), mps), den);
-    const __m512d hi =
-        _mm512_div_pd(_mm512_sub_pd(_mm512_add_pd(dot, bound), mps), den);
-    const __mmask8 live = _mm512_cmp_pd_mask(den, floor, _CMP_GE_OQ);
-    const __mmask8 finite =
-        _mm512_cmp_pd_mask(_mm512_abs_pd(dot), big, _CMP_LE_OQ);
-    const __m256 f_lo = _mm512_cvtpd_ps(_mm512_maskz_mov_pd(live, lo));
-    const __m256 f_hi = _mm512_cvtpd_ps(hi);
-    const auto same = static_cast<__mmask8>(_mm512_cmpeq_epi32_mask(
-        _mm512_zextsi256_si512(_mm256_castps_si256(f_lo)),
-        _mm512_zextsi256_si512(_mm256_castps_si256(f_hi))));
-    unsigned redo = live & ~(same & finite) & 0xffu;
-    if (i + 8 <= b.n) {
-      _mm256_storeu_ps(b.out + i, f_lo);
-    } else {
-      alignas(32) float lanes[8];
-      _mm256_store_ps(lanes, f_lo);
-      std::copy_n(lanes, b.n - i, b.out + i);
-      redo &= (1u << (b.n - i)) - 1;
-    }
-    queue_exact(b, q, i, redo);
-  }
-}
-
-__attribute__((target("avx512f"))) std::uint64_t box_dots_avx512f(
-    const BoxBlock& b) {
-  ExactQueue q;
-  std::size_t r = 0;
-  for (; r + 32 <= b.n; r += 32) box_groups_avx512f<4>(b, r, q);
-  for (; r < b.n; r += 8) box_groups_avx512f<1>(b, r, q);
-  flush_exact(b, q);
-  return q.total;
-}
+// end's float where the denominator is live, and recomputes every live
+// lane whose two floats differ in bits (or whose B is not finite). Each
+// returns how many outputs it recomputed.
 
 __attribute__((target("avx2,fma"))) BoxStats box_sums_avx2_fma(
     const float* x, std::size_t m, std::size_t spc, double d, double* box) {
@@ -355,7 +209,7 @@ __attribute__((target("avx2,fma"))) BoxStats box_sums_avx2_fma(
 
 template <int G>
 __attribute__((target("avx2,fma"), always_inline)) inline void
-box_groups_avx2_fma(const BoxBlock& b, std::size_t r, ExactQueue& q) {
+box_groups_avx2_fma(const BoxBlock& b, std::size_t r, std::uint64_t& redone) {
   __m256d acc[G][2];
   for (int g = 0; g < G; ++g) {
     acc[g][0] = _mm256_setzero_pd();
@@ -411,18 +265,17 @@ box_groups_avx2_fma(const BoxBlock& b, std::size_t r, ExactQueue& q) {
       std::copy_n(lanes, b.n - i, b.out + i);
       redo &= (1u << (b.n - i)) - 1;
     }
-    queue_exact(b, q, i, redo);
+    if (redo != 0) redone += recompute_lanes(b, i, redo);
   }
 }
 
 __attribute__((target("avx2,fma"))) std::uint64_t box_dots_avx2_fma(
     const BoxBlock& b) {
-  ExactQueue q;
+  std::uint64_t redone = 0;
   std::size_t r = 0;
-  for (; r + 16 <= b.n; r += 16) box_groups_avx2_fma<4>(b, r, q);
-  for (; r < b.n; r += 4) box_groups_avx2_fma<1>(b, r, q);
-  flush_exact(b, q);
-  return q.total;
+  for (; r + 16 <= b.n; r += 16) box_groups_avx2_fma<4>(b, r, redone);
+  for (; r < b.n; r += 4) box_groups_avx2_fma<1>(b, r, redone);
+  return redone;
 }
 #endif  // __x86_64__
 
@@ -437,16 +290,26 @@ void correlator_process_on(SlidingCorrelator& corr, SimdTarget target,
                                 simd_target_name(target) +
                                 " is not supported on this CPU");
   }
-  corr.process_blocked(target, in, out, false);
+  // Every vector target runs the one AVX2+FMA body.
+  corr.process_blocked(
+      target == SimdTarget::kScalar ? target : correlator_kernel_target(), in,
+      out, false);
 }
 
 void correlator_process_exact_only(SlidingCorrelator& corr,
                                    std::span<const float> in,
                                    std::span<float> out) {
-  corr.process_blocked(simd_dispatch_target(), in, out, true);
+  corr.process_blocked(correlator_kernel_target(), in, out, true);
 }
 
 }  // namespace detail
+
+SimdTarget correlator_kernel_target() {
+  static const SimdTarget target =
+      simd_target_supported(SimdTarget::kAvx2Fma) ? SimdTarget::kAvx2Fma
+                                                  : SimdTarget::kScalar;
+  return target;
+}
 
 SlidingCorrelator::SlidingCorrelator(std::vector<float> pattern,
                                      std::size_t samples_per_chip)
@@ -572,33 +435,11 @@ void SlidingCorrelator::refresh_sums(const float* window) {
   sumsq_ = s2;
 }
 
-double SlidingCorrelator::dot_one(const float* win) const {
-  // Four independent partial sums break the sequential FP chain so the
-  // loop vectorizes under strict FP math; the combine order is fixed,
-  // keeping results deterministic. The box kernel's bound is derived
-  // for exactly this tree (tree_partials mirrors it).
-  const double* pat = pattern_d_.data();
-  const std::size_t w = window_len_;
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  std::size_t k = 0;
-  for (; k + 4 <= w; k += 4) {
-    d0 += static_cast<double>(win[k]) * pat[k];
-    d1 += static_cast<double>(win[k + 1]) * pat[k + 1];
-    d2 += static_cast<double>(win[k + 2]) * pat[k + 2];
-    d3 += static_cast<double>(win[k + 3]) * pat[k + 3];
-  }
-  double dot = (d0 + d1) + (d2 + d3);
-  for (; k < w; ++k) {
-    dot += static_cast<double>(win[k]) * pat[k];
-  }
-  return dot;
-}
-
 void SlidingCorrelator::process(std::span<const float> in,
                                 std::span<float> out) {
-  // One dispatch path for every build: the target is the host CPU's
-  // widest supported kernel, not the compiler's -march.
-  process_blocked(simd_dispatch_target(), in, out, false);
+  // One dispatch path for every build: the kernel is picked from the
+  // host CPU, not the compiler's -march.
+  process_blocked(correlator_kernel_target(), in, out, false);
 }
 
 void SlidingCorrelator::process_blocked(SimdTarget target,
@@ -606,7 +447,7 @@ void SlidingCorrelator::process_blocked(SimdTarget target,
                                         std::span<float> out,
                                         bool force_exact) {
 #if defined(__x86_64__)
-  // Without a vector ISA the blocked restructure is pure overhead; the
+  // Without AVX2+FMA the blocked restructure is pure overhead; the
   // single-pass scalar loop is the faster — and definitionally
   // bit-identical — path.
   if (target == SimdTarget::kScalar) {
@@ -664,9 +505,8 @@ void SlidingCorrelator::process_blocked(SimdTarget target,
       // sample of a DC-dominated block).
       float d = static_cast<float>(mean_buf_[warm]);
       if (!std::isfinite(d)) d = 0.0f;
-      const auto boxes = target == SimdTarget::kAvx512f ? box_sums_avx512f
-                                                         : box_sums_avx2_fma;
-      const BoxStats st = boxes(base + warm, n + w - 1, spc, d, box_.data());
+      const BoxStats st =
+          box_sums_avx2_fma(base + warm, n + w - 1, spc, d, box_.data());
       const double dmag = std::abs(static_cast<double>(d));
       const bool exact_dot =
           st.xmin > 0.0 && st.xmin <= DBL_MAX &&
@@ -691,9 +531,7 @@ void SlidingCorrelator::process_blocked(SimdTarget target,
                            base + warm,
                            pattern_d_.data(),
                            w};
-      exact_recomputes_ += target == SimdTarget::kAvx512f
-                               ? box_dots_avx512f(block)
-                               : box_dots_avx2_fma(block);
+      exact_recomputes_ += box_dots_avx2_fma(block);
     }
     cursor_ += take;
     done += take;
@@ -732,7 +570,8 @@ void SlidingCorrelator::process_scalar(std::span<const float> in,
         if (energy < 0.0) energy = 0.0;
         const double denom = std::sqrt(energy * pattern_energy_);
         if (denom >= 1e-12) {
-          const double dot = dot_one(base + i) - mean * pattern_sum_;
+          const double dot =
+              dot_one(base + i, pattern_d_.data(), w) - mean * pattern_sum_;
           corr = static_cast<float>(dot / denom);
         }
       }
@@ -769,7 +608,8 @@ float SlidingCorrelator::process(float x) {
     if (energy < 0.0) energy = 0.0;
     const double denom = std::sqrt(energy * pattern_energy_);
     if (denom >= 1e-12) {
-      const double dot = dot_one(base) - mean * pattern_sum_;
+      const double dot =
+          dot_one(base, pattern_d_.data(), w) - mean * pattern_sum_;
       corr = static_cast<float>(dot / denom);
     }
   }

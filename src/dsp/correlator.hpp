@@ -50,13 +50,13 @@
 //      that of T - mean · pattern_sum, which is never -0 (dot_one's
 //      sums start at +0). Any output whose ends differ, whose B is not
 //      finite, or whose block bound is not finite (an inf or NaN
-//      sample) is recomputed on dot_one's own tree, four windows at a
-//      time (one vector lane per k-mod-4 partial, so each lane repeats
-//      dot_one's additions); exact_recomputes() counts those.
-// The kernel runs AVX-512F or AVX2+FMA bodies, compiled into every
-// x86-64 build as target-attribute functions and picked at runtime
-// from the host CPU (util/simd_target.hpp); hosts with neither, and
-// non-x86 builds, run process_scalar. The TU is compiled with
+//      sample) is recomputed with dot_one itself, as process_scalar
+//      does; exact_recomputes() counts those.
+// The kernel has one AVX2+FMA body, compiled into every x86-64 build
+// as a target-attribute function and picked at runtime from the host
+// CPU (correlator_kernel_target); it runs on AVX-512F hosts too, where
+// an AVX-512F build of the same loops read no faster end to end. Hosts
+// without AVX2+FMA, and non-x86 builds, run process_scalar. The TU is compiled with
 // -ffp-contract=off so the normalization's double×double steps round
 // identically in every path.
 #pragma once
@@ -75,8 +75,9 @@ class SlidingCorrelator;
 
 namespace detail {
 
-/// process(span) on a named target. Throws std::invalid_argument when
-/// the host cannot run it.
+/// process(span) on a named target: kScalar runs process_scalar, any
+/// vector target the chip-box kernel of correlator_kernel_target().
+/// Throws std::invalid_argument when the host cannot run `target`.
 void correlator_process_on(SlidingCorrelator& corr, SimdTarget target,
                            std::span<const float> in, std::span<float> out);
 
@@ -88,6 +89,11 @@ void correlator_process_exact_only(SlidingCorrelator& corr,
                                    std::span<float> out);
 
 }  // namespace detail
+
+/// The ISA process(span) runs its chip-box kernel on: kAvx2Fma when the
+/// host CPU has AVX2 and FMA (AVX-512F hosts included), else kScalar
+/// (process_scalar). Detected once per process.
+SimdTarget correlator_kernel_target();
 
 class SlidingCorrelator {
  public:
@@ -108,7 +114,7 @@ class SlidingCorrelator {
   /// Arbitrary span lengths; state carries across calls, so splitting a
   /// stream into chunks of any size yields bit-identical output. Dots
   /// run through the chip-box kernel when the host CPU provides one
-  /// (see simd_dispatch_target). Throws std::invalid_argument when the
+  /// (see correlator_kernel_target). Throws std::invalid_argument when the
   /// spans differ in length.
   void process(std::span<const float> in, std::span<float> out);
 
@@ -146,10 +152,6 @@ class SlidingCorrelator {
 
   void compact();
   void refresh_sums(const float* window);
-
-  /// Reference pattern dot over one window: four k-mod-4 partial sums
-  /// combined (d0+d1)+(d2+d3) plus a sequential tail.
-  double dot_one(const float* win) const;
 
   std::vector<double> pattern_d_;  // stretched, mean-removed taps
   std::vector<double> chip_taps_;  // one tap per chip (p_c)

@@ -10,10 +10,6 @@ namespace fdb::phy {
 
 namespace {
 
-// Samples the sync prefilter smooths per chunk (rounded down to whole
-// strides): bounds its scratch independently of the capture length.
-constexpr std::size_t kSmoothChunk = 2048;
-
 void check_rates(const RateConfig& rates) {
   if (!rates.valid()) {
     throw std::invalid_argument(
@@ -97,23 +93,15 @@ std::optional<std::size_t> BackscatterRx::find_sync(
   // has its first null exactly at the chip rate and would erase the
   // alternating preamble.
   //
-  // Batch chain: smooth the capture in chunks of whole strides with the
-  // moving average's block kernel (its state carries across calls, so
-  // chunking changes no bit), gather each chunk's strided subsample,
-  // then run the correlator's block kernel over the subsample. Samples
-  // past the last whole stride feed no output and are not filtered.
+  // Whole-capture batch chain: smooth everything with the moving
+  // average's block kernel, gather the strided subsample, then run the
+  // correlator's block kernel over it — no per-sample call overhead.
   dsp::MovingAverage<float> prefilter(stride > 1 ? spc / 2 : 1);
-  const std::size_t used = strided_len * stride;
-  const std::size_t chunk = std::max<std::size_t>(kSmoothChunk / stride, 1) *
-                            stride;
-  std::vector<float> smoothed(std::min(chunk, used));
+  std::vector<float> smoothed(envelope.size());
+  prefilter.process(envelope, smoothed);
   std::vector<float> strided(strided_len);
-  for (std::size_t pos = 0; pos < used; pos += chunk) {
-    const std::size_t n = std::min(chunk, used - pos);
-    const std::span<float> part(smoothed.data(), n);
-    prefilter.process(envelope.subspan(pos, n), part);
-    float* dst = strided.data() + pos / stride;
-    for (std::size_t j = stride - 1; j < n; j += stride) *dst++ = part[j];
+  for (std::size_t j = 0; j < strided_len; ++j) {
+    strided[j] = smoothed[j * stride + stride - 1];
   }
   correlator.process(strided, corr);
   float best_abs = -2.0f;

@@ -1,10 +1,10 @@
-// Runtime ISA selection for the batch kernels that carry more than one
-// build of their inner loop (the correlator's pattern dots and
-// Rng::fill_cn's noise block). On x86-64 each such kernel compiles its
-// AVX2+FMA and AVX-512F bodies as target-attribute functions into every
-// build, and the widest one the running CPU supports runs — chosen from
-// the host, not from the build's -march. Other hosts run the baseline
-// body only.
+// Runtime ISA selection for the batch kernels that carry a vector build
+// of their inner loop (Rng::fill_cn's noise block, with AVX2+FMA and
+// AVX-512F bodies, and the correlator's chip-box kernel, with one
+// AVX2+FMA body). On x86-64 each body is compiled as a target-attribute
+// function into every build, and the widest one the running CPU
+// supports runs — chosen from the host, not from the build's -march.
+// Other hosts run the baseline body only.
 #pragma once
 
 namespace fdb {

@@ -361,8 +361,8 @@ TEST_P(SlidingCorrelatorTarget, MatchesScalarOnAdversarialStreams) {
 }
 
 TEST(BatchEquivalence, SlidingCorrelatorExactOnlyAdversarial) {
-  // The recompute path alone (every live output through the batched
-  // exact dots) must reproduce process_scalar too.
+  // The recompute path alone (every live output through dot_one and
+  // the normalization) must reproduce process_scalar too.
   for (const auto& [pattern, spc] : adversarial_patterns()) {
     for (const auto& stream : adversarial_streams()) {
       SCOPED_TRACE(stream.name);

@@ -170,7 +170,7 @@ TEST(SlidingCorrelator, CountsExactRecomputes) {
   corr.process_scalar(in, out);
   EXPECT_EQ(corr.exact_recomputes(), 0u);
   detail::correlator_process_exact_only(corr, in, out);
-  if (simd_dispatch_target() != SimdTarget::kScalar) {
+  if (correlator_kernel_target() != SimdTarget::kScalar) {
     EXPECT_EQ(corr.exact_recomputes(), in.size());
   }
 }
