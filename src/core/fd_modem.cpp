@@ -1,11 +1,28 @@
 #include "core/fd_modem.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "core/self_interference.hpp"
 
 namespace fdb::core {
+
+namespace {
+
+/// Throws std::invalid_argument, naming `who`, unless `config` keys the
+/// rate asymmetry to its block length.
+void require_consistent(const FdModemConfig& config, const char* who) {
+  if (!config.consistent()) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": modem config needs valid rates and rates.asymmetry == "
+        "block_bits(), got asymmetry " +
+        std::to_string(config.data.rates.asymmetry) + " for " +
+        std::to_string(config.block_bits()) + " block bits");
+  }
+}
+
+}  // namespace
 
 FdModemConfig FdModemConfig::make(std::size_t block_size_bytes,
                                   std::size_t samples_per_chip) {
@@ -18,7 +35,7 @@ FdModemConfig FdModemConfig::make(std::size_t block_size_bytes,
 
 FdDataTransmitter::FdDataTransmitter(FdModemConfig config)
     : config_(config), tx_(config.data) {
-  assert(config_.consistent());
+  require_consistent(config_, "FdDataTransmitter");
 }
 
 std::vector<std::uint8_t> FdDataTransmitter::modulate(
@@ -63,7 +80,7 @@ std::size_t FdDataTransmitter::num_blocks(std::size_t payload_bytes) const {
 
 FdDataReceiver::FdDataReceiver(FdModemConfig config)
     : config_(config), rx_(config.data) {
-  assert(config_.consistent());
+  require_consistent(config_, "FdDataReceiver");
 }
 
 FdRxResult FdDataReceiver::demodulate(
@@ -98,7 +115,7 @@ FdRxResult FdDataReceiver::demodulate(
 
 FdFeedbackReceiver::FdFeedbackReceiver(FdModemConfig config)
     : config_(config), decoder_(config.data.rates, config.feedback) {
-  assert(config_.consistent());
+  require_consistent(config_, "FdFeedbackReceiver");
 }
 
 FeedbackDecodeResult FdFeedbackReceiver::decode(

@@ -46,6 +46,7 @@ struct FdModemConfig {
 
 class FdDataTransmitter {
  public:
+  /// Throws std::invalid_argument when !config.consistent().
   explicit FdDataTransmitter(FdModemConfig config);
 
   /// Preamble + blocked payload as per-sample antenna states.
@@ -80,6 +81,7 @@ struct FdRxResult {
 
 class FdDataReceiver {
  public:
+  /// Throws std::invalid_argument when !config.consistent().
   explicit FdDataReceiver(FdModemConfig config);
 
   /// Decodes a blocked frame while the device transmits feedback.
@@ -100,6 +102,7 @@ class FdDataReceiver {
 
 class FdFeedbackReceiver {
  public:
+  /// Throws std::invalid_argument when !config.consistent().
   explicit FdFeedbackReceiver(FdModemConfig config);
 
   /// Decodes `num_bits` feedback bits from the transmitter's received

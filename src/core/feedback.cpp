@@ -1,13 +1,12 @@
 #include "core/feedback.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace fdb::core {
 
 FeedbackEncoder::FeedbackEncoder(phy::RateConfig rates, FeedbackConfig config)
     : rates_(rates), config_(config) {
-  assert(rates.valid());
+  phy::require_valid(rates, "FeedbackEncoder");
 }
 
 std::size_t FeedbackEncoder::preamble_slots() const {
@@ -53,7 +52,7 @@ std::size_t FeedbackEncoder::samples_for_bits(std::size_t n) const {
 
 FeedbackDecoder::FeedbackDecoder(phy::RateConfig rates, FeedbackConfig config)
     : rates_(rates), config_(config) {
-  assert(rates.valid());
+  phy::require_valid(rates, "FeedbackDecoder");
 }
 
 double FeedbackDecoder::window_statistic(

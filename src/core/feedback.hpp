@@ -55,6 +55,7 @@ struct FeedbackConfig {
 /// Encodes feedback bits to per-sample antenna states.
 class FeedbackEncoder {
  public:
+  /// Throws std::invalid_argument when !rates.valid().
   FeedbackEncoder(phy::RateConfig rates, FeedbackConfig config);
 
   /// Expands bits to per-sample 0/1 states (including the calibration
@@ -84,6 +85,7 @@ struct FeedbackDecodeResult {
 /// the feedback slot grid.
 class FeedbackDecoder {
  public:
+  /// Throws std::invalid_argument when !rates.valid().
   FeedbackDecoder(phy::RateConfig rates, FeedbackConfig config);
 
   /// `envelope` and `own_states` start at a slot boundary and cover the

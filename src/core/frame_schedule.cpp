@@ -1,14 +1,17 @@
 #include "core/frame_schedule.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace fdb::core {
 
 FrameSchedule::FrameSchedule(phy::RateConfig rates, ScheduleConfig config)
     : rates_(rates), config_(config) {
-  assert(rates.valid());
-  assert(config.decode_delay_slots >= 1 &&
-         "verdicts cannot be delivered in the slot they are computed");
+  phy::require_valid(rates, "FrameSchedule");
+  if (config.decode_delay_slots < 1) {
+    throw std::invalid_argument(
+        "FrameSchedule: decode_delay_slots must be at least 1 (verdicts "
+        "cannot be delivered in the slot they are computed)");
+  }
 }
 
 std::size_t FrameSchedule::verdict_slot(std::size_t block) const {

@@ -20,6 +20,8 @@ struct ScheduleConfig {
 
 class FrameSchedule {
  public:
+  /// Throws std::invalid_argument when !rates.valid() or
+  /// config.decode_delay_slots is 0.
   FrameSchedule(phy::RateConfig rates, ScheduleConfig config = {});
 
   /// Bits of data stream covered by one feedback slot.

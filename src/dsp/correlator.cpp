@@ -586,38 +586,9 @@ void SlidingCorrelator::process_scalar(std::span<const float> in,
 }
 
 float SlidingCorrelator::process(float x) {
-  // Single-sample specialization of the batch loop (take == 1): same
-  // expressions in the same order, minus the span/block machinery, so
-  // the per-sample API stays within a few percent of the batch scalar
-  // path while remaining bit-identical to it. A true staging buffer is
-  // impossible here — each call must return its correlation
-  // synchronously — so the win comes from specialization instead.
-  const std::size_t w = window_len_;
-  if (cursor_ >= hist_.size()) compact();
-  hist_[cursor_] = x;
-  const float* base = hist_.data() + cursor_ - (w - 1);
-  const double xd = x;
-  sum_ += xd;
-  sumsq_ += xd * xd;
-  ++total_;
-  float corr = 0.0f;
-  if (total_ >= w) {
-    if ((total_ & kRefreshMask) == 0) refresh_sums(base);
-    const double mean = sum_ * (1.0 / static_cast<double>(w));
-    double energy = sumsq_ - sum_ * mean;
-    if (energy < 0.0) energy = 0.0;
-    const double denom = std::sqrt(energy * pattern_energy_);
-    if (denom >= 1e-12) {
-      const double dot =
-          dot_one(base, pattern_d_.data(), w) - mean * pattern_sum_;
-      corr = static_cast<float>(dot / denom);
-    }
-  }
-  const double oldest = base[0];
-  sum_ -= oldest;
-  sumsq_ -= oldest * oldest;
-  ++cursor_;
-  return corr;
+  float y = 0.0f;
+  process_scalar(std::span<const float>(&x, 1), std::span<float>(&y, 1));
+  return y;
 }
 
 void SlidingCorrelator::reset() {

@@ -9,8 +9,8 @@
 // the window mean and energy incrementally. process_scalar(span, span)
 // is the definition: per output it takes the pattern dot with dot_one()
 // (a fixed summation tree over the W = chips × samples_per_chip taps)
-// and normalizes it. process(x) is a single-sample path over the same
-// arithmetic. process(span) gives the same bits for any chunking of the
+// and normalizes it. process(x) is process_scalar over one sample.
+// process(span) gives the same bits for any chunking of the
 // stream, but reaches most dots another way.
 //
 // The chip-box kernel. The stretched pattern is constant over each
@@ -106,8 +106,7 @@ class SlidingCorrelator {
   /// Pushes one envelope sample; returns the normalised correlation in
   /// [-1, 1] once the window has filled (0 before that, including the
   /// samples leading up to — but not — the exact-fill sample).
-  /// Specialized single-sample path (no span/loop overhead), same
-  /// arithmetic as process_scalar.
+  /// process_scalar over one sample.
   float process(float x);
 
   /// Batch kernel: out[i] is the correlation after pushing in[i].

@@ -8,20 +8,8 @@
 
 namespace fdb::phy {
 
-namespace {
-
-void check_rates(const RateConfig& rates) {
-  if (!rates.valid()) {
-    throw std::invalid_argument(
-        "modem: rates need a positive sample rate, samples_per_chip and "
-        "asymmetry");
-  }
-}
-
-}  // namespace
-
 BackscatterTx::BackscatterTx(ModemConfig config) : config_(config) {
-  check_rates(config_.rates);
+  require_valid(config_.rates, "modem");
 }
 
 std::vector<std::uint8_t> BackscatterTx::chips_to_states(
@@ -58,7 +46,7 @@ std::size_t BackscatterTx::frame_samples(std::size_t payload_bytes) const {
 }
 
 BackscatterRx::BackscatterRx(ModemConfig config) : config_(config) {
-  check_rates(config_.rates);
+  require_valid(config_.rates, "modem");
 }
 
 std::optional<std::size_t> BackscatterRx::find_sync(
@@ -208,13 +196,39 @@ std::vector<std::uint8_t> BackscatterRx::slice_chips(
   return decisions;
 }
 
-void BackscatterRx::decode_frame_from(std::span<const float> envelope,
-                                      std::size_t data_start_hint,
-                                      RxResult& result) const {
-  const std::size_t spc = config_.rates.samples_per_chip;
-  const std::size_t preamble_samples = default_preamble_length() * spc;
+std::size_t BackscatterRx::preamble_samples() const {
+  return default_preamble_length() * config_.rates.samples_per_chip;
+}
+
+std::optional<std::size_t> BackscatterRx::coarse_data_start(
+    std::span<const float> envelope, float* corr_out) const {
+  const auto sync = find_sync(envelope, corr_out);
+  if (!sync.has_value() || *sync + 1 < preamble_samples()) return std::nullopt;
+  return *sync + 1;
+}
+
+bool BackscatterRx::hint_fits(std::span<const float> envelope,
+                              std::size_t data_start_hint) const {
+  return data_start_hint >= preamble_samples() &&
+         data_start_hint <= envelope.size();
+}
+
+RxResult BackscatterRx::demodulate_frame(
+    std::span<const float> envelope) const {
+  float corr = 0.0f;
+  const auto data_start = coarse_data_start(envelope, &corr);
+  RxResult result =
+      data_start ? demodulate_frame_at(envelope, *data_start) : RxResult{};
+  result.diag.sync_corr = corr;
+  return result;
+}
+
+RxResult BackscatterRx::demodulate_frame_at(
+    std::span<const float> envelope, std::size_t data_start_hint) const {
+  RxResult result;  // kSyncNotFound until decoded
+  if (!hint_fits(envelope, data_start_hint)) return result;
   const std::size_t data_start = refine_data_start(envelope, data_start_hint);
-  const std::size_t preamble_start = data_start - preamble_samples;
+  const std::size_t preamble_start = data_start - preamble_samples();
   result.diag.sync_sample = data_start - 1;
 
   const std::size_t max_chips =
@@ -226,45 +240,12 @@ void BackscatterRx::decode_frame_from(std::span<const float> envelope,
   if (!bits.has_value()) {
     result.status = Status::kTruncated;
     result.diag.chip_decisions = std::move(chips);
-    return;
+    return result;
   }
   auto deframed = deframe_bits(*bits);
   result.status = deframed.status;
   result.payload = std::move(deframed.payload);
   result.diag.chip_decisions = std::move(chips);
-}
-
-RxResult BackscatterRx::demodulate_frame(
-    std::span<const float> envelope) const {
-  RxResult result;
-  const auto sync =
-      find_sync(envelope, &result.diag.sync_corr);
-  if (!sync.has_value()) {
-    result.status = Status::kSyncNotFound;
-    return result;
-  }
-  const std::size_t spc = config_.rates.samples_per_chip;
-  const std::size_t preamble_samples = default_preamble_length() * spc;
-  const std::size_t data_start = *sync + 1;
-  if (data_start < preamble_samples) {
-    result.status = Status::kSyncNotFound;
-    return result;
-  }
-  decode_frame_from(envelope, data_start, result);
-  return result;
-}
-
-RxResult BackscatterRx::demodulate_frame_at(
-    std::span<const float> envelope, std::size_t data_start_hint) const {
-  RxResult result;
-  const std::size_t preamble_samples =
-      default_preamble_length() * config_.rates.samples_per_chip;
-  if (data_start_hint < preamble_samples ||
-      data_start_hint > envelope.size()) {
-    result.status = Status::kSyncNotFound;
-    return result;
-  }
-  decode_frame_from(envelope, data_start_hint, result);
   return result;
 }
 
@@ -272,18 +253,14 @@ std::optional<std::vector<std::uint8_t>> BackscatterRx::demodulate_bits(
     std::span<const float> envelope, std::size_t num_bits,
     RxDiagnostics* diag) const {
   float corr = 0.0f;
-  const auto sync = find_sync(envelope, &corr);
-  if (!sync.has_value()) return std::nullopt;
-  const std::size_t preamble_samples =
-      default_preamble_length() * config_.rates.samples_per_chip;
-  const std::size_t data_start = *sync + 1;
-  if (data_start < preamble_samples) return std::nullopt;
-  auto bits = demodulate_bits_at(envelope, num_bits, data_start, diag);
+  const auto data_start = coarse_data_start(envelope, &corr);
+  if (!data_start.has_value()) return std::nullopt;
+  auto bits = demodulate_bits_at(envelope, num_bits, *data_start, diag);
   if (diag != nullptr) {
     // The burst path reports the coarse correlation peak, not the
     // refined edge, matching its historical diagnostics.
     diag->sync_corr = corr;
-    diag->sync_sample = *sync;
+    diag->sync_sample = *data_start - 1;
   }
   return bits;
 }
@@ -291,14 +268,9 @@ std::optional<std::vector<std::uint8_t>> BackscatterRx::demodulate_bits(
 std::optional<std::vector<std::uint8_t>> BackscatterRx::demodulate_bits_at(
     std::span<const float> envelope, std::size_t num_bits,
     std::size_t data_start_hint, RxDiagnostics* diag) const {
-  const std::size_t spc = config_.rates.samples_per_chip;
-  const std::size_t preamble_samples = default_preamble_length() * spc;
-  if (data_start_hint < preamble_samples ||
-      data_start_hint > envelope.size()) {
-    return std::nullopt;
-  }
+  if (!hint_fits(envelope, data_start_hint)) return std::nullopt;
   const std::size_t data_start = refine_data_start(envelope, data_start_hint);
-  const std::size_t preamble_start = data_start - preamble_samples;
+  const std::size_t preamble_start = data_start - preamble_samples();
 
   auto chips = slice_chips(envelope, preamble_start, data_start,
                            2 * num_bits);

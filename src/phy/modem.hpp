@@ -118,10 +118,18 @@ class BackscatterRx {
                                         std::size_t data_start,
                                         std::size_t max_chips) const;
 
-  /// Shared tail of the frame paths: refine timing around the hint,
-  /// slice, decode, deframe. Fills everything except diag.sync_corr.
-  void decode_frame_from(std::span<const float> envelope,
-                         std::size_t data_start_hint, RxResult& result) const;
+  std::size_t preamble_samples() const;
+
+  /// The correlation search's coarse data start (one past find_sync's
+  /// peak), or nullopt when sync fails or the peak leaves no room for
+  /// the preamble. `corr_out` as for find_sync.
+  std::optional<std::size_t> coarse_data_start(std::span<const float> envelope,
+                                               float* corr_out) const;
+
+  /// Whether a known-sync hint leaves room for the preamble and lies
+  /// within the capture.
+  bool hint_fits(std::span<const float> envelope,
+                 std::size_t data_start_hint) const;
 
   ModemConfig config_;
 };

@@ -9,6 +9,8 @@
 
 #include <cassert>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 
 namespace fdb::phy {
 
@@ -37,5 +39,15 @@ struct RateConfig {
     return sample_rate_hz > 0.0 && samples_per_chip > 0 && asymmetry > 0;
   }
 };
+
+/// Throws std::invalid_argument, naming `who`, unless `rates` is valid.
+inline void require_valid(const RateConfig& rates, const char* who) {
+  if (!rates.valid()) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": rates need a positive sample rate, samples_per_chip and "
+        "asymmetry");
+  }
+}
 
 }  // namespace fdb::phy

@@ -39,7 +39,7 @@ StreamingReceiver::StreamingReceiver(ModemConfig config, FrameHandler handler)
       correlator_(chips_to_pattern(default_preamble_chips()),
                   config.rates.samples_per_chip),
       peaks_(config.sync_threshold, config.rates.samples_per_chip * 4) {
-  assert(config_.rates.valid());
+  require_valid(config_.rates, "StreamingReceiver");
   const std::size_t preamble =
       default_preamble_length() * config_.rates.samples_per_chip;
   // While searching we only ever need the preamble plus slack.

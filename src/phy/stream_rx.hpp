@@ -46,7 +46,8 @@ class StreamingReceiver {
  public:
   using FrameHandler = std::function<void(const StreamFrame&)>;
 
-  /// `handler` fires once per decoded (or CRC-failed) frame.
+  /// `handler` fires once per decoded (or CRC-failed) frame. Throws
+  /// std::invalid_argument when !config.rates.valid().
   StreamingReceiver(ModemConfig config, FrameHandler handler);
 
   /// Feeds envelope samples; may invoke the handler zero or more times.

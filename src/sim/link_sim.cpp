@@ -1,7 +1,6 @@
 #include "sim/link_sim.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <optional>
 
@@ -25,9 +24,7 @@ LinkSimulator::LinkSimulator(LinkSimConfig config)
       fb_tx_(config.modem.data.rates, config.modem.feedback),
       modulator_(channel::ReflectionStates::ook(config.reflection_rho)),
       harvester_(),
-      synth_(config.modem.data.rates, config.envelope_cutoff_mult) {
-  assert(config_.modem.consistent());
-}
+      synth_(config.modem.data.rates, config.envelope_cutoff_mult) {}
 
 TrialResult LinkSimulator::run_trial(std::uint64_t trial_index) const {
   // One warm arena per thread: disjoint trials may run concurrently on

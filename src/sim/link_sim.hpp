@@ -133,6 +133,7 @@ struct LinkSimSummary {
 
 class LinkSimulator {
  public:
+  /// Throws std::invalid_argument when !config.modem.consistent().
   explicit LinkSimulator(LinkSimConfig config);
 
   /// Runs one frame exchange with a random payload and random feedback

@@ -1,13 +1,10 @@
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -19,6 +16,7 @@
 #include "channel/impairments.hpp"
 #include "dsp/envelope.hpp"
 #include "sim/link_budget.hpp"
+#include "sim/trial_parts.hpp"
 
 namespace fdb::sim {
 
@@ -41,25 +39,15 @@ double add_repeated(double acc, double h, std::uint64_t n) {
 
 namespace {
 
-// NetworkTrialResult::envelope_digest, FNV-1a over the float bit
-// patterns, one 32-bit word per step. The helpers run only with
-// FleetConfig::record_frames. They stay cold and out of line so the
-// slot engine gains only a guarded call per site: its speed on the
-// analytic workloads is sensitive to its code layout, and the same
-// digest written inline cost fleet-analytic-10k about 15% slots/s.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
+// NetworkTrialResult::envelope_digest (detail::fold_digest). The
+// helpers run only with FleetConfig::record_frames. They stay cold and
+// out of line so the slot engine gains only a guarded call per site: its
+// speed on the analytic workloads is sensitive to its code layout, and
+// the same digest written inline cost fleet-analytic-10k about 15%
+// slots/s.
 [[gnu::cold, gnu::noinline]] void start_digests(
     std::vector<std::uint64_t>& digests, std::size_t n_gw) {
-  digests.assign(n_gw, kFnvOffset);
-}
-
-[[gnu::cold, gnu::noinline]] void fold_digest(std::uint64_t& h,
-                                              std::span<const float> x) {
-  for (const float v : x) {
-    h = (h ^ std::bit_cast<std::uint32_t>(v)) * kFnvPrime;
-  }
+  digests.assign(n_gw, detail::kDigestBasis);
 }
 
 /// Folds each gateway's full-trial envelope history (row g of
@@ -68,7 +56,7 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
     std::vector<std::uint64_t>& digests, std::span<const float> histories,
     std::size_t total) {
   for (std::size_t g = 0; g < digests.size(); ++g) {
-    fold_digest(digests[g], histories.subspan(g * total, total));
+    detail::fold_digest(digests[g], histories.subspan(g * total, total));
   }
 }
 
@@ -76,10 +64,10 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 /// slot-domain machine mirrors mac/collision.cpp, but verdicts come from
 /// the PHY (or its analytic stand-in) instead of the abstract collided
 /// flag, and starts are gated by the energy store. The current frame's
-/// payload and (kWaveform) antenna states live in the trial's side
-/// stores, so the record is small and trivially destructible: a trial
-/// carves all of them from its arena, and every per-tag sweep reads
-/// 48 bytes a tag.
+/// payload, (kWaveform) antenna states and (kHybrid) frame-log entry
+/// live in the trial's side stores, so the record is small and
+/// trivially destructible: a trial carves all of them from its arena,
+/// and every per-tag sweep reads 40 bytes a tag.
 struct TagRt {
   enum class St : std::uint8_t { kBackoff, kTx, kWaitVerdict };
   std::size_t counter = 0;  // slots remaining in backoff / verdict wait
@@ -89,7 +77,6 @@ struct TagRt {
   std::uint32_t progress = 0;  // on-air slots of the current frame
   std::uint32_t start_slot = 0;
   std::uint32_t overlap_start = 0;
-  std::uint32_t frame_id = 0;  // index into the hybrid-mode frame log
 
   // Relaying: the originator and hops taken of a forward of another
   // tag's traffic (`forwarding`) rather than fresh local data.
@@ -102,19 +89,7 @@ struct TagRt {
   bool forwarding = false;
 };
 static_assert(std::is_trivially_destructible_v<TagRt>);
-static_assert(sizeof(TagRt) <= 48);
-
-/// One started frame in the hybrid-mode log. The analytic fast path
-/// never modulates antenna states; an escalated window regenerates them
-/// on demand from the logged payload (tx_.modulate is deterministic)
-/// and memoizes, so repeat escalations touching the same interferer
-/// frame pay the modulation once.
-struct FrameLog {
-  std::uint32_t tag = 0;
-  std::uint64_t start_slot = 0;
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> states;  // empty until first escalation
-};
+static_assert(sizeof(TagRt) <= 40);
 
 std::uint64_t sum_over_tags(const std::vector<NetworkTagStats>& tags,
                             std::uint64_t NetworkTagStats::*field) {
@@ -247,6 +222,39 @@ class EnergyTracker {
   std::span<std::uint32_t> e_next_;
 };
 
+/// Resilience attribution of tag k's resolved or aborted frame on air
+/// over slots [lo, hi): exposure is judged at the gateways (of `n_gw`)
+/// the combining policy listens to. Failed-and-exposed frames tally into
+/// every fault class whose window touched them (exposure, not causal
+/// attribution — see NetworkTrialResult).
+[[gnu::noinline]] void tally_fault_exposure(
+    const FaultPlan& fplan, const GatewayFailover& failover, std::size_t n_gw,
+    std::size_t k, std::size_t lo, std::size_t hi, bool delivered,
+    NetworkCounters& res) {
+  const bool sag = fplan.window_has_sag(lo, hi);
+  bool outage = false;
+  bool interf = false;
+  for (std::size_t g = 0; g < n_gw; ++g) {
+    if (!failover.listens(k, g)) continue;
+    outage = outage || fplan.window_has_outage(g, lo, hi);
+    interf = interf || fplan.window_has_interference(g, lo, hi);
+  }
+  const TagFault* f = fplan.tag_fault(static_cast<std::uint32_t>(k));
+  const bool tagf = f != nullptr &&
+                    f->start_slot < static_cast<std::int64_t>(hi) &&
+                    f->end_slot > static_cast<std::int64_t>(lo);
+  if (!(sag || outage || interf || tagf)) return;
+  ++res.faulted_frames_attempted;
+  if (delivered) {
+    ++res.faulted_frames_delivered;
+    return;
+  }
+  if (outage) ++res.frames_lost_outage;
+  if (sag) ++res.frames_lost_sag;
+  if (interf) ++res.frames_lost_interference;
+  if (tagf) ++res.frames_lost_tag_fault;
+}
+
 }  // namespace
 
 double NetworkSimConfig::noise_power_w() const {
@@ -256,6 +264,13 @@ double NetworkSimConfig::noise_power_w() const {
 }
 
 void NetworkSimConfig::validate() const {
+  if (!modem.consistent()) {
+    throw std::invalid_argument(
+        "NetworkSimConfig: modem must have valid rates and "
+        "rates.asymmetry == block_bits(), got asymmetry " +
+        std::to_string(modem.data.rates.asymmetry) + " for " +
+        std::to_string(modem.block_bits()) + " block bits");
+  }
   if (tags.empty()) {
     throw std::invalid_argument(
         "NetworkSimConfig: tags must be non-empty (a network needs at "
@@ -479,7 +494,6 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
       harvester_(config_.harvester),
       synth_(config_.modem.data.rates, config_.envelope_cutoff_mult) {
   config_.validate();
-  assert(config_.modem.consistent());
 
   scene_.reserve_devices(2 + config_.tags.size() +
                          config_.extra_gateways.size());
@@ -834,9 +848,9 @@ NetworkTrialResult NetworkSimulator::run_trial_reference(
   return run_trial_impl<false>(trial_index, arena, nullptr);
 }
 
-/// One trial: its channel realisation, receive chains and per-tag
-/// state, the named parts — energy tracker, gateway failover, relay
-/// fabric, hybrid escalator, verdict resolver — and every frame
+/// One trial: its channel realisation and per-tag state, the named
+/// parts — energy tracker, gateway failover, relay fabric, gateway-slot
+/// synthesis, frame classifier, hybrid escalator — and every frame
 /// transition, each written once. The `if constexpr (ActiveSet)` forks
 /// here only pick the storage the engine's scans need. Escalation,
 /// relay, fault and abort paths are [[gnu::noinline]]: cold code inlined
@@ -856,17 +870,16 @@ struct NetworkSimulator::Trial {
   const std::size_t slot_samples = sim.slot_samples_;
   const std::size_t total = slots * slot_samples;
   const std::size_t frame_slots = sim.frame_slots_;
+  // Decode windows reach two bits past the burst (see TrialGeometry).
+  const TrialGeometry geo{slots, slot_samples, frame_slots,
+                          sim.burst_samples_,
+                          2 * cfg.modem.data.rates.samples_per_bit()};
   // Fidelity policy (sim/fleet.hpp). All modes consume the trial RNG in
   // the identical order, so only the verdict mechanism differs.
   const bool waveform_all = cfg.fleet.fidelity == FidelityMode::kWaveform;
   const bool hybrid = cfg.fleet.fidelity == FidelityMode::kHybrid;
   const bool analytic_on = cfg.fleet.classifier_runs();
   const bool fd = sim.policy_->aborts_on_notify();  // notify aborts
-  // Decode windows reach a couple of chips past the burst (RC group
-  // delay shifts sync late by a fraction of a chip), never a full slot:
-  // keeping the tail short stops a back-to-back successor frame's
-  // preamble from entering this frame's sync search.
-  const std::size_t tail_samples = 2 * cfg.modem.data.rates.samples_per_bit();
   // Fault realisation (empty when injection is off), drawn from a salted
   // side substream; fault-free trials never enter a fault code path.
   const FaultPlan fplan = sim.injector_.plan(trial_index);
@@ -874,10 +887,11 @@ struct NetworkSimulator::Trial {
 
   NetworkTrialResult res;
   // Everything stochastic about this trial is keyed by (seed,
-  // trial_index) — the purity contract the parallel runner needs.
+  // trial_index) — the purity contract the parallel runner needs. The
+  // draw order is the carrier seed, the channel, the AWGN forks, then
+  // the opening waits.
   Rng rng = Rng::substream(cfg.seed, trial_index);
-  const std::unique_ptr<channel::AmbientSource> source =
-      channel::make_ambient_source(cfg.carrier, rng());
+  const std::uint64_t carrier_seed = rng();
   // Coherence block = trial index; a static channel reads the
   // construction cache (StaticFading consumes no draws).
   const ChannelTables ch =
@@ -899,32 +913,24 @@ struct NetworkSimulator::Trial {
   std::vector<std::vector<std::uint8_t>> wave_states;
   EnergyTracker energy{cfg, ch.h_idle, ch.h_act, sim.slot_seconds(),
                        res.tags, arena};
+  // Forks the per-gateway AWGN streams in every mode; only the sample
+  // modes build the carrier (kAnalytic never touches samples).
+  GatewaySlotSynth synth{
+      geo,
+      waveform_all || hybrid
+          ? channel::make_ambient_source(cfg.carrier, carrier_seed)
+          : nullptr,
+      ch.h_sr, ch.coup_on, ch.coup_off, cfg.noise_power_w(), rng, sim.tx_,
+      fplan, arena};
+  FrameClassifier classifier{sim.resolver_, ch.delta, n_gw, frame_slots,
+                             fplan, arena};
+  std::optional<HybridEscalator> esc;  // kHybrid only
 
-  // Ambient carrier. kWaveform materialises the whole trial upfront;
-  // kHybrid streams it lazily up to the highest sample any escalated
-  // window has needed so far (the source is sequential, so the prefix
-  // is identical either way); kAnalytic never touches samples. A
-  // constant carrier (zero-drift CW, every network scenario) is the
-  // same in every slot: one slot-long buffer, read at offset 0.
-  const std::optional<cf32> constant_carrier = source->constant();
-  std::span<cf32> ambient{};
-  std::size_t ambient_filled = 0;
-
-  // Per-gateway receive chains: AWGN (one fork per gateway, in index
-  // order — forked in every mode to keep downstream MAC draws aligned),
-  // and in kWaveform the RC envelope state carried across slots plus a
-  // full-trial envelope history each. In kHybrid the AWGN forks are
-  // consumed by escalated windows instead of per-slot synthesis.
-  std::span<channel::AwgnChannel> noise{};
+  // kWaveform receive chains: the RC envelope state carried across
+  // slots and a full-trial envelope history per gateway.
   std::span<dsp::EnvelopeDetector> envelopes{};
   std::span<float> env_buf{};
   std::span<cf32> rx_slot{};
-  // Cross-entity slot-synthesis scratch (kWaveform slots and kHybrid
-  // escalations both run the fused per-gateway kernel): entity mask
-  // pointers, the coupling pair of each entity at the gateway being
-  // synthesized, and the coefficient accumulator.
-  std::span<const std::uint8_t*> mask_ptrs{};
-  std::span<cf32> slot_on{}, slot_off{}, coeff_scratch{};
 
   // Analytic interference over the channel's swing tables: the active
   // engine folds a running per-(tag, gateway) max while the frame is on
@@ -932,46 +938,6 @@ struct NetworkSimulator::Trial {
   // the frame window (max is exact and order-independent, hence
   // bit-identical).
   std::span<float> i_max{}, i_sum{};
-
-  // Hybrid escalator (kHybrid): the frame log and per-slot index of who
-  // was on air (amortised std::vectors — escalation demand is
-  // data-dependent and mid-trial), and the slot cache: the noisy
-  // synthesized receive history per (gateway, slot), built the first
-  // time any escalated window touches the slot and shared by every
-  // later one, so overlapping contested frames see one noise
-  // realisation, as on the waveform path. A slot is final once built:
-  // escalations run at verdict time, when every frame that can overlap
-  // it is logged. Storage is chunk-lazy — each (gateway, kChunkSlots
-  // slots) is carved on first touch and a window straddling chunks is
-  // gathered into `win` (identical samples) — and demand is
-  // deterministic, so the arena's high-water capacity is replay-stable
-  // (tests/sim/synthesis_test.cpp).
-  struct Escalator {
-    static constexpr std::size_t kChunkSlots = 4;
-    std::vector<FrameLog> frame_log;
-    std::vector<std::uint32_t> slot_frames;
-    std::vector<std::uint32_t> slot_frames_off;
-    std::size_t chunks_per_gw = 0;
-    std::span<cf32*> chunks{};
-    std::span<std::uint8_t> built{};
-    std::span<cf32> win{};
-    std::span<float> env{};
-    std::vector<std::size_t> order;
-    // Demod memo, keyed on (gateway, start slot): colliding frames
-    // that started in the same slot share the decode window at a
-    // gateway (its bounds derive from start_slot alone and built slots
-    // never change), so the receiver output is the same — only the
-    // per-tag payload comparison differs. kWaveform decodes every window
-    // afresh until e13's 10k-tag hybrid gate moves (ROADMAP, sync item).
-    std::map<std::pair<std::size_t, std::uint64_t>, core::FdRxResult> demod;
-  } esc;
-
-  // Verdict resolver scratch: per-gateway analytic verdicts and margins
-  // of the frame being resolved.
-  std::vector<LinkVerdict> gw_verdict =
-      std::vector<LinkVerdict>(n_gw, LinkVerdict::kClearFail);
-  std::vector<double> gw_margin =
-      std::vector<double>(n_gw, -std::numeric_limits<double>::infinity());
 
   // Slot-engine bookkeeping. `active` holds the on-air tags ascending;
   // the active engine keeps pending waits as wake events in per-slot
@@ -993,35 +959,20 @@ struct NetworkSimulator::Trial {
     res.gateway_decodes.resize(n_gw);
     res.slots = slots;
     if (cfg.fleet.record_frames) start_digests(res.envelope_digest, n_gw);
-    if (waveform_all || hybrid) {
-      ambient = arena.alloc<cf32>(constant_carrier ? slot_samples : total);
-    }
-    if (constant_carrier) {
-      std::fill(ambient.begin(), ambient.end(), *constant_carrier);
-      ambient_filled = total;
-    } else if (waveform_all) {
-      ensure_ambient(total);
-    }
-
-    noise = arena.alloc<channel::AwgnChannel>(n_gw);
-    static_assert(std::is_trivially_destructible_v<channel::AwgnChannel>);
-    static_assert(std::is_trivially_destructible_v<dsp::EnvelopeDetector>);
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      std::construct_at(&noise[g], cfg.noise_power_w(), rng.fork());
-    }
     if (waveform_all) {
+      // kWaveform materialises the whole trial's carrier up front; kHybrid
+      // streams the prefix its escalated windows reach (the source is
+      // sequential, so the prefix is the same either way).
+      synth.ensure_carrier(total);
+      static_assert(std::is_trivially_destructible_v<dsp::EnvelopeDetector>);
       envelopes = arena.alloc<dsp::EnvelopeDetector>(n_gw);
       for (std::size_t g = 0; g < n_gw; ++g) {
         std::construct_at(&envelopes[g], sim.synth_.make_envelope());
       }
-      env_buf = arena.alloc_zeroed<float>(n_gw * total);
-      rx_slot = arena.alloc<cf32>(n_gw * slot_samples);
-    }
-    if (waveform_all || hybrid) {
-      mask_ptrs = arena.alloc<const std::uint8_t*>(n_tags);
-      slot_on = arena.alloc<cf32>(n_tags);
-      slot_off = arena.alloc<cf32>(n_tags);
-      coeff_scratch = arena.alloc<cf32>(slot_samples);
+      // Not zeroed: synthesize_slot writes every sample of every row
+      // before a decode window or the digest reads it.
+      env_buf = arena.alloc<float>(n_gw * total);
+      rx_slot = arena.alloc<cf32>(slot_samples);
     }
     if (analytic_on) {
       if constexpr (ActiveSet) {
@@ -1031,19 +982,8 @@ struct NetworkSimulator::Trial {
       }
     }
     if (hybrid) {
-      esc.frame_log.reserve(n_tags);
-      esc.slot_frames_off.assign(slots + 1, 0);
-      esc.chunks_per_gw = (slots + Escalator::kChunkSlots - 1) /
-                          Escalator::kChunkSlots;
-      esc.chunks = arena.alloc<cf32*>(n_gw * esc.chunks_per_gw);
-      std::fill(esc.chunks.begin(), esc.chunks.end(), nullptr);
-      esc.built = arena.alloc_zeroed<std::uint8_t>(n_gw * slots);
-      // A decode window spans at most frame_slots + 1 + ceil(tail/slot)
-      // slots (one warm-up slot before the burst, the sync tail after).
-      const std::size_t win_slots =
-          frame_slots + 1 + (tail_samples + slot_samples - 1) / slot_samples;
-      esc.win = arena.alloc<cf32>(win_slots * slot_samples);
-      esc.env = arena.alloc<float>(win_slots * slot_samples);
+      esc.emplace(geo, n_tags, sim.in_range_, synth, sim.synth_, sim.rx_,
+                  cfg.payload_bytes, res.envelope_digest, arena);
     }
 
     // MAC setup: the policy hands out the trial-opening waits;
@@ -1169,11 +1109,9 @@ struct NetworkSimulator::Trial {
     // lazily from the frame log, never in kAnalytic.
     if (waveform_all) {
       wave_states[k] =
-          frame_states(static_cast<std::uint32_t>(k), slot, bytes);
+          synth.frame_states(static_cast<std::uint32_t>(k), slot, bytes);
     } else if (hybrid) {
-      tag.frame_id = static_cast<std::uint32_t>(esc.frame_log.size());
-      esc.frame_log.push_back({static_cast<std::uint32_t>(k), slot,
-                               {bytes.begin(), bytes.end()}, {}});
+      esc->log_frame(k, slot, bytes);
     }
   }
 
@@ -1235,10 +1173,16 @@ struct NetworkSimulator::Trial {
   [[gnu::noinline]] void abort_frame(std::size_t k, std::uint64_t slot,
                                      Loss how) {
     fail_frame(k, slot, how);
-    if (has_faults) classify_fault_loss(k, /*delivered=*/false);
+    if (has_faults) tally_faults(k, /*delivered=*/false);
     if (how == Loss::kNotified) sim.policy_->on_notify_abort(k, rt[k].mac);
     rt[k].st = TagRt::St::kBackoff;
     redraw_wait(k, slot);
+  }
+
+  /// The fault-exposure tally of tag k's frame (tally_fault_exposure).
+  void tally_faults(std::size_t k, bool delivered) {
+    tally_fault_exposure(fplan, failover, n_gw, k, rt[k].start_slot,
+                         rt[k].start_slot + frame_slots, delivered, res);
   }
 
   /// Phase D: tag k's verdict wait expired at `slot`.
@@ -1302,6 +1246,7 @@ struct NetworkSimulator::Trial {
     }
     for (std::size_t k = 0; k < n_tags; ++k) energy.settle(k, slots);
     res.relay_drops += relay.backlog();
+    res.gateway_slots_synthesized = synth.gateway_slots();
     if (waveform_all && cfg.fleet.record_frames) {
       fold_histories(res.envelope_digest, env_buf, total);
     }
@@ -1319,57 +1264,23 @@ struct NetworkSimulator::Trial {
 
   // --- Slot synthesis and interference -----------------------------------
 
-  /// The carrier under the slot starting at trial sample `base`.
-  std::span<const cf32> slot_carrier(std::size_t base) const {
-    return std::span<const cf32>(ambient).subspan(constant_carrier ? 0 : base,
-                                                  slot_samples);
-  }
-  void ensure_ambient(std::size_t hi_sample) {
-    if (hi_sample > ambient_filled) {
-      source->generate(
-          ambient.subspan(ambient_filled, hi_sample - ambient_filled));
-      ambient_filled = hi_sample;
-    }
-  }
-
-  /// One gateway-slot at gateway g through the fused kernel over the
-  /// first `n_ent` staged entities (mask_ptrs, slot_on, slot_off), then
-  /// the slot's faults and the gateway's AWGN fork, into `out`.
-  void synth_gateway_slot(std::size_t g, std::uint64_t slot, std::size_t n_ent,
-                          std::span<cf32> out) {
-    WaveformSynthesizer::synthesize_slot_gateway(
-        slot_carrier(static_cast<std::size_t>(slot) * slot_samples),
-        ch.h_sr[g],
-        std::span<const std::uint8_t* const>(mask_ptrs.data(), n_ent),
-        std::span<const cf32>(slot_on.data(), n_ent),
-        std::span<const cf32>(slot_off.data(), n_ent), coeff_scratch, out);
-    if (has_faults) apply_slot_faults(g, slot, out);
-    noise[g].process(out, out);
-  }
-
-  /// kWaveform Phase B: every on-air tag's mask block for this slot is
-  /// resolved once (the zero-padded modulated frames make each a plain
-  /// pointer view), then each gateway runs the fused kernel, its AWGN
-  /// fork and its RC envelope state.
+  /// kWaveform Phase B: each gateway runs the fused kernel over every
+  /// on-air tag's mask block for this slot (the zero-padded modulated
+  /// frames make each a plain pointer view), then its RC envelope state.
   [[gnu::noinline]] void synthesize_slot(std::uint64_t slot) {
     const std::size_t base = static_cast<std::size_t>(slot) * slot_samples;
-    for (std::size_t e = 0; e < active.size(); ++e) {
-      const std::size_t k = active[e];
-      mask_ptrs[e] = wave_states[k].data() +
-                     static_cast<std::size_t>(slot - rt[k].start_slot) *
-                         slot_samples;
-    }
     for (std::size_t g = 0; g < n_gw; ++g) {
       for (std::size_t e = 0; e < active.size(); ++e) {
-        slot_on[e] = ch.coup_on[active[e] * n_gw + g];
-        slot_off[e] = ch.coup_off[active[e] * n_gw + g];
+        const std::size_t k = active[e];
+        synth.stage(e, k, g,
+                    wave_states[k].data() +
+                        static_cast<std::size_t>(slot - rt[k].start_slot) *
+                            slot_samples);
       }
-      const auto gw_slot = rx_slot.subspan(g * slot_samples, slot_samples);
-      synth_gateway_slot(g, slot, active.size(), gw_slot);
-      envelopes[g].process(gw_slot,
+      synth.synthesize(g, slot, active.size(), rx_slot);
+      envelopes[g].process(rx_slot,
                            env_buf.subspan(g * total + base, slot_samples));
     }
-    res.gateway_slots_synthesized += n_gw;
   }
 
   /// This slot's sum of in-range on-air half-swings at gateway g. Under
@@ -1435,107 +1346,6 @@ struct NetworkSimulator::Trial {
     return std::max(0.0, static_cast<double>(worst) - own);
   }
 
-  // --- Faults ------------------------------------------------------------
-
-  /// The zero-padded antenna states of tag k's frame started at
-  /// `start_slot`, with the tag's own hardware fault applied: kWaveform
-  /// modulation and lazy escalation both come here, so both fidelity
-  /// paths synthesize the identical faulted waveform. Zero-padding to
-  /// whole slots (state 0 is absorb — the "frame ended mid-slot"
-  /// semantics) makes every slot of the frame a plain pointer view.
-  std::vector<std::uint8_t> frame_states(
-      std::uint32_t k, std::uint64_t start_slot,
-      std::span<const std::uint8_t> bytes) const {
-    std::vector<std::uint8_t> out = sim.tx_.modulate(bytes);
-    out.resize(frame_slots * slot_samples, 0);
-    if (has_faults) apply_tag_fault_states(k, start_slot, out);
-    return out;
-  }
-
-  /// A stuck switch pins every sample of the fault-covered slots to the
-  /// jammed position; oscillator drift shifts the whole burst by the
-  /// skew accumulated since fault onset (the receiver's sync search
-  /// absorbs the shift until the burst overruns its decode window).
-  [[gnu::noinline]] void apply_tag_fault_states(
-      std::uint32_t k, std::uint64_t start_slot,
-      std::vector<std::uint8_t>& states) const {
-    const TagFault* f = fplan.tag_fault(k);
-    if (f == nullptr) return;
-    const auto start = static_cast<std::int64_t>(start_slot);
-    if (f->stuck) {
-      const std::int64_t lo = std::max<std::int64_t>(f->start_slot, start);
-      const std::int64_t hi = std::min<std::int64_t>(
-          f->end_slot, start + static_cast<std::int64_t>(frame_slots));
-      if (lo >= hi) return;
-      std::fill(states.begin() + (lo - start) *
-                                     static_cast<std::ptrdiff_t>(slot_samples),
-                states.begin() + (hi - start) *
-                                     static_cast<std::ptrdiff_t>(slot_samples),
-                f->stuck_state);
-      return;
-    }
-    const std::size_t shift = fplan.drift_shift_samples(k, start);
-    if (shift == 0) return;
-    if (shift >= states.size()) {
-      std::fill(states.begin(), states.end(), std::uint8_t{0});
-      return;
-    }
-    states.insert(states.begin(), shift, std::uint8_t{0});
-    states.resize(frame_slots * slot_samples);
-  }
-
-  /// In-place fault transform of one synthesized gateway-slot, between
-  /// the fused kernel and the AWGN stage: the carrier sag scales every
-  /// ambient-derived component (leakage and backscatter are both linear
-  /// in the carrier, so post-scaling the clean sum is exact),
-  /// burst-interferer tones arrive over the air, and the gateway
-  /// attenuation then scales everything reaching the faulted front end —
-  /// receiver noise stays unscaled.
-  [[gnu::noinline]] void apply_slot_faults(std::size_t g, std::size_t slot,
-                                           std::span<cf32> samples) const {
-    const float cs = fplan.carrier_scale(slot);
-    if (cs != 1.0f) {
-      for (auto& v : samples) v *= cs;
-    }
-    fplan.add_interferers(g, slot, samples);
-    const float a = fplan.gateway_atten(g, slot);
-    if (a != 1.0f) {
-      for (auto& v : samples) v *= a;
-    }
-  }
-
-  /// Resilience attribution of one resolved or aborted frame: exposure
-  /// is judged over the frame's on-air window at the gateways the
-  /// combining policy listens to. Failed-and-exposed frames tally into
-  /// every fault class whose window touched them (exposure, not causal
-  /// attribution — see NetworkTrialResult).
-  [[gnu::noinline]] void classify_fault_loss(std::size_t k, bool delivered) {
-    const std::size_t lo = rt[k].start_slot;
-    const std::size_t hi = lo + frame_slots;
-    const bool sag = fplan.window_has_sag(lo, hi);
-    bool outage = false;
-    bool interf = false;
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      if (!failover.listens(k, g)) continue;
-      outage = outage || fplan.window_has_outage(g, lo, hi);
-      interf = interf || fplan.window_has_interference(g, lo, hi);
-    }
-    const TagFault* f = fplan.tag_fault(static_cast<std::uint32_t>(k));
-    const bool tagf = f != nullptr &&
-                      f->start_slot < static_cast<std::int64_t>(hi) &&
-                      f->end_slot > static_cast<std::int64_t>(lo);
-    if (!(sag || outage || interf || tagf)) return;
-    ++res.faulted_frames_attempted;
-    if (delivered) {
-      ++res.faulted_frames_delivered;
-      return;
-    }
-    if (outage) ++res.frames_lost_outage;
-    if (sag) ++res.frames_lost_sag;
-    if (interf) ++res.frames_lost_interference;
-    if (tagf) ++res.frames_lost_tag_fault;
-  }
-
   // --- Verdict resolver --------------------------------------------------
 
   /// Resolves tag k's completed frame, learned by the transmitter at
@@ -1573,113 +1383,60 @@ struct NetworkSimulator::Trial {
   }
 
   /// Resolves tag k's frame at the gateways and applies the combining
-  /// policy to stats and MAC state. kWaveform decodes every gateway's
-  /// envelope history; the fleet modes classify analytically and
-  /// (kHybrid) escalate contested frames back to synthesis.
+  /// policy to stats and MAC state. The classifier runs in the fleet
+  /// modes (and beside kWaveform when frames are recorded); then
+  /// kWaveform decodes every gateway's envelope history, kAnalytic takes
+  /// the band's verdict or its point estimate, and kHybrid escalates
+  /// contested frames back to synthesis.
   void resolve_verdict(std::size_t k, std::uint64_t learn_slot,
                        bool update_mac) {
     TagRt& tag = rt[k];
     const bool fwd = relay_on && tag.forwarding;
+    const FrameClass fc =
+        analytic_on ? classifier.classify(
+                          k, tag.start_slot, fwd, failover,
+                          [&](std::size_t g) { return worst_interference(k, g); })
+                    : FrameClass{};
     bool delivered = false;
     bool escalated = false;
-    LinkVerdict combined = LinkVerdict::kContested;
-    double best_margin = -std::numeric_limits<double>::infinity();
-
-    // The transmitting tag's own hardware fault this frame, if any:
-    // stuck and drift-shifted frames force kContested in every
-    // classifying mode (only synthesis — which rewrites the faulted
-    // states — can judge a corrupted burst; forcing the band keeps the
-    // clear-verdict agreement contract intact under faults).
-    bool own_stuck = false;
-    std::size_t own_shift = 0;
-    const std::uint64_t lo = tag.start_slot;
-    if (has_faults) {
-      const auto k32 = static_cast<std::uint32_t>(k);
-      own_stuck = fplan.stuck_in_window(
-          k32, static_cast<std::int64_t>(lo),
-          static_cast<std::int64_t>(lo + frame_slots));
-      own_shift = fplan.drift_shift_samples(k32, static_cast<std::int64_t>(lo));
-    }
-
-    if (analytic_on) {
-      // Per-gateway one-sided-safe verdicts over the gateway set the
-      // combining policy listens to.
-      bool any_deliver = false;
-      bool any_contested = false;
-      std::size_t best_g = failover.serving(k);
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        if (!failover.listens(k, g)) {
-          gw_verdict[g] = LinkVerdict::kClearFail;
-          gw_margin[g] = -std::numeric_limits<double>::infinity();
-          continue;
-        }
-        const double d = ch.delta[k * n_gw + g];
-        const double interf = worst_interference(k, g);
-        // The fault schedule scales the frame's swing slot by slot; the
-        // pessimistic arm gets the window minimum and the optimistic arm
-        // the window maximum — the same one-sided-safe bracketing the
-        // margin band provides for interference. Without faults both
-        // scales are 1, and d * 1 is d.
-        const double s_min =
-            has_faults ? fplan.min_signal_scale(g, lo, lo + frame_slots) : 1.0;
-        const double s_max =
-            has_faults ? fplan.max_signal_scale(g, lo, lo + frame_slots) : 1.0;
-        gw_margin[g] = sim.resolver_.margin_db(d * s_min, interf);
-        gw_verdict[g] = sim.resolver_.classify_margin(gw_margin[g], d * s_max);
-        // Relayed delivery is never claimed from the margin band alone:
-        // kHybrid escalates it, kAnalytic point-estimates.
-        if (own_stuck || own_shift > 0 ||
-            (fwd && gw_verdict[g] == LinkVerdict::kClearDeliver)) {
-          gw_verdict[g] = LinkVerdict::kContested;
-        }
-        if (gw_margin[g] > best_margin) {
-          best_margin = gw_margin[g];
-          best_g = g;
-        }
-        any_deliver |= gw_verdict[g] == LinkVerdict::kClearDeliver;
-        any_contested |= gw_verdict[g] == LinkVerdict::kContested;
-      }
-      combined = any_deliver     ? LinkVerdict::kClearDeliver
-                 : any_contested ? LinkVerdict::kContested
-                                 : LinkVerdict::kClearFail;
-
-      if (!waveform_all) {
-        switch (combined) {
-          case LinkVerdict::kClearDeliver:
-            delivered = true;
-            for (std::size_t g = 0; g < n_gw; ++g) {
-              if (gw_verdict[g] == LinkVerdict::kClearDeliver) {
-                ++res.gateway_decodes[g];
-              }
+    if (waveform_all) {
+      delivered = decode_waveform(k);
+    } else {
+      switch (fc.combined) {
+        case LinkVerdict::kClearDeliver:
+          delivered = true;
+          for (std::size_t g = 0; g < n_gw; ++g) {
+            if (classifier.verdicts()[g] == LinkVerdict::kClearDeliver) {
+              ++res.gateway_decodes[g];
             }
-            break;
-          case LinkVerdict::kClearFail:
-            break;
-          case LinkVerdict::kContested:
-            if (hybrid) {
-              delivered = escalate(k);
-              escalated = true;
-            } else if (!own_stuck) {
-              // Point estimate at the band centre; a jammed switch put
-              // no modulation on the air at all, and a drifted burst
-              // must still fit the decode window's tail.
-              delivered = best_margin >= 0.0 && own_shift <= tail_samples;
-              if (delivered) ++res.gateway_decodes[best_g];
-            }
-            break;
-        }
-        ++(escalated ? res.frames_escalated : res.frames_resolved_analytic);
-        if (sim.culled_[k]) ++res.frames_culled;
+          }
+          break;
+        case LinkVerdict::kClearFail:
+          break;
+        case LinkVerdict::kContested:
+          if (hybrid) {
+            delivered = escalate(k);
+            escalated = true;
+          } else if (!fc.own_stuck) {
+            // Point estimate at the band centre; a jammed switch put no
+            // modulation on the air at all, and a drifted burst must
+            // still fit the decode window's tail.
+            delivered = fc.best_margin >= 0.0 &&
+                        fc.own_shift <= geo.tail_samples;
+            if (delivered) ++res.gateway_decodes[fc.best_g];
+          }
+          break;
       }
+      ++(escalated ? res.frames_escalated : res.frames_resolved_analytic);
+      if (sim.culled_[k]) ++res.frames_culled;
     }
-    if (waveform_all) delivered = decode_waveform(k);
 
     if (cfg.fleet.record_frames) {
       res.frames.push_back({static_cast<std::uint32_t>(k), tag.start_slot,
-                            tag.overlapped, combined, best_margin, delivered,
-                            escalated});
+                            tag.overlapped, fc.combined, fc.best_margin,
+                            delivered, escalated});
     }
-    if (has_faults) classify_fault_loss(k, delivered);
+    if (has_faults) tally_faults(k, delivered);
     if (update_mac) {
       if (!fwd) failover.note(k, delivered, tag.start_slot, learn_slot, res);
       sim.policy_->on_outcome(k, delivered, tag.mac);
@@ -1704,128 +1461,25 @@ struct NetworkSimulator::Trial {
 
   /// kWaveform: decodes tag k's window from every gateway's history.
   [[gnu::noinline]] bool decode_waveform(std::size_t k) {
+    const TrialGeometry::Window w = geo.decode_window(rt[k].start_slot);
     bool delivered = false;
     for (std::size_t g = 0; g < n_gw; ++g) {
-      delivered |= decoded_at(k, g, decode_window(g, rt[k].start_slot));
+      const auto window = std::span<const float>(env_buf).subspan(
+          g * total + w.lo, w.hi - w.lo);
+      delivered |= decoded_at(
+          k, g, sim.rx_.demodulate(window, {}, cfg.payload_bytes));
     }
     return delivered;
   }
 
-  /// The receiver output over gateway g's decode window of frames that
-  /// started in slot `start`: trial samples [lo, hi), from the burst
-  /// start through a short sync tail. Both modes decode here and differ
-  /// only in where the envelope window comes from — kWaveform slices the
-  /// gateway's envelope history, kHybrid synthesizes the window.
-  core::FdRxResult decode_window(std::size_t g, std::uint64_t start) {
-    const std::size_t lo = static_cast<std::size_t>(start) * slot_samples;
-    const std::size_t hi =
-        std::min(total, lo + sim.burst_samples_ + tail_samples);
-    const std::span<const float> window =
-        waveform_all
-            ? std::span<const float>(env_buf).subspan(g * total + lo, hi - lo)
-            : escalated_window(g, lo, hi);
-    return sim.rx_.demodulate(window, {}, cfg.payload_bytes);
-  }
-
-  // --- Hybrid escalator --------------------------------------------------
-
-  /// Hybrid slot index: the logged frames on air in `slot`.
-  void index_slot(std::uint64_t slot) {
-    for (const std::size_t k : active) {
-      esc.slot_frames.push_back(rt[k].frame_id);
-    }
-    esc.slot_frames_off[slot + 1] =
-        static_cast<std::uint32_t>(esc.slot_frames.size());
-  }
-
-  /// Gateway g's slot s in the escalation cache, built on first touch
-  /// from the in-range logged frames on air in it.
-  cf32* escalation_slot(std::size_t g, std::size_t s) {
-    constexpr std::size_t kChunk = Escalator::kChunkSlots;
-    cf32*& chunk = esc.chunks[g * esc.chunks_per_gw + s / kChunk];
-    if (chunk == nullptr) {
-      chunk = arena.alloc<cf32>(kChunk * slot_samples).data();
-    }
-    cf32* const slot_p = chunk + (s % kChunk) * slot_samples;
-    if (esc.built[g * slots + s]) return slot_p;
-    esc.built[g * slots + s] = 1;
-    ++res.gateway_slots_synthesized;
-    std::size_t n_ent = 0;
-    for (std::uint32_t idx = esc.slot_frames_off[s];
-         idx < esc.slot_frames_off[s + 1]; ++idx) {
-      FrameLog& fl = esc.frame_log[esc.slot_frames[idx]];
-      if (!sim.in_range_[fl.tag * n_gw + g]) continue;
-      if (fl.states.empty()) {
-        fl.states = frame_states(fl.tag, fl.start_slot, fl.payload);
-      }
-      mask_ptrs[n_ent] = fl.states.data() +
-                         static_cast<std::size_t>(s - fl.start_slot) *
-                             slot_samples;
-      slot_on[n_ent] = ch.coup_on[fl.tag * n_gw + g];
-      slot_off[n_ent] = ch.coup_off[fl.tag * n_gw + g];
-      ++n_ent;
-    }
-    synth_gateway_slot(g, s, n_ent, std::span<cf32>(slot_p, slot_samples));
-    return slot_p;
-  }
-
-  /// kHybrid: gateway g's envelope over trial samples [lo, hi). The
-  /// window's slots come out of the escalation cache, plus one warm-up
-  /// slot ahead of it that settles a fresh RC envelope state (the RC time
-  /// constant is a fraction of a chip); with frame recording on, the
-  /// whole envelope run folds into the gateway's digest.
-  std::span<const float> escalated_window(std::size_t g, std::size_t lo,
-                                          std::size_t hi) {
-    const std::size_t w0_slot = lo > 0 ? lo / slot_samples - 1 : 0;
-    const std::size_t hi_slot =
-        std::min(slots, (hi + slot_samples - 1) / slot_samples);
-    const std::size_t w0 = w0_slot * slot_samples;
-    const std::size_t win_samples = hi_slot * slot_samples - w0;
-    assert(win_samples <= esc.win.size());
-    ensure_ambient(hi_slot * slot_samples);
-    for (std::size_t s = w0_slot; s < hi_slot; ++s) {
-      std::memcpy(esc.win.data() + (s - w0_slot) * slot_samples,
-                  escalation_slot(g, s), slot_samples * sizeof(cf32));
-    }
-    dsp::EnvelopeDetector env = sim.synth_.make_envelope();
-    const auto env_out = esc.env.subspan(0, win_samples);
-    env.process(std::span<const cf32>(esc.win.data(), win_samples), env_out);
-    if (cfg.fleet.record_frames) fold_digest(res.envelope_digest[g], env_out);
-    return std::span<const float>(env_out).subspan(lo - w0, hi - lo);
-  }
-
-  /// Escalated resolution of one contested frame (kHybrid): re-run the
-  /// sample-level chain over this frame's decode window only, at the
-  /// contested gateways only, folding in-range logged frames only.
-  /// Contested gateways are tried best-margin-first and the loop exits
-  /// on the first delivering decode, so the remaining (weaker) gateways'
-  /// windows never need synthesizing: verdicts equal the exhaustive
-  /// sweep's, only the per-gateway decode tallies stop accruing.
+  /// kHybrid: tag k's contested frame through the escalator.
   [[gnu::noinline]] bool escalate(std::size_t k) {
     const auto esc_t0 = stages ? Clock::now() : Clock::time_point{};
-    esc.order.clear();
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      if (gw_verdict[g] == LinkVerdict::kContested) esc.order.push_back(g);
-    }
-    std::sort(esc.order.begin(), esc.order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return gw_margin[a] != gw_margin[b]
-                           ? gw_margin[a] > gw_margin[b]
-                           : a < b;
-              });
-    const std::uint64_t start = rt[k].start_slot;
-    bool delivered = false;
-    for (const std::size_t g : esc.order) {
-      // A cluster peer that already demodulated this exact window built
-      // every slot of it first, so reusing its result consumes no RNG
-      // and changes no accounting.
-      const auto [memo, fresh] = esc.demod.try_emplace({g, start});
-      if (fresh) memo->second = decode_window(g, start);
-      if (decoded_at(k, g, memo->second)) {
-        delivered = true;
-        break;
-      }
-    }
+    const bool delivered = esc->escalate(
+        rt[k].start_slot, classifier.verdicts(), classifier.margins(),
+        [&](std::size_t g, const core::FdRxResult& r) {
+          return decoded_at(k, g, r);
+        });
     if (stages) esc_acc += seconds_since(esc_t0);
     return delivered;
   }
@@ -1883,7 +1537,7 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
     // windows its contested frames demand.
     if (t.waveform_all) t.synthesize_slot(slot);
     if (t.analytic_on) t.fold_interference(slot);
-    if (t.hybrid) t.index_slot(slot);
+    if (t.hybrid) t.esc->index_slot(slot, t.active);
     if constexpr (ActiveSet) {
       for (const std::size_t k : active) t.energy.step(k, slot, true);
     } else {

@@ -175,8 +175,8 @@ struct NetworkSimConfig {
   /// Gateways including the primary: 1 + extra_gateways.size().
   std::size_t num_gateways() const { return 1 + extra_gateways.size(); }
 
-  /// Rejects configurations that used to fail silently (empty tag set,
-  /// non-positive transmit power, carrier/fading strings the factories
+  /// Rejects configurations that used to fail silently (an inconsistent
+  /// modem, empty tag set, non-positive transmit power, carrier/fading strings the factories
   /// would quietly map to a default arm, a non-finite or non-positive
   /// envelope_cutoff_mult, a non-finite or negative power.*_w or
   /// storage.* field). Throws std::invalid_argument

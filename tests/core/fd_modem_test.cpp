@@ -31,6 +31,28 @@ TEST(FdModemConfig, InconsistentWhenAsymmetryDiverges) {
   EXPECT_FALSE(config.consistent());
 }
 
+// The consistency checks run in every build, not only under assert:
+// 4-byte blocks (40 block bits) with the default 72-bit asymmetry.
+FdModemConfig inconsistent_config() {
+  auto config = FdModemConfig::make(/*block_size_bytes=*/8,
+                                    /*samples_per_chip=*/6);
+  config.block_size_bytes = 4;
+  return config;
+}
+
+TEST(FdDataTransmitter, RejectsInconsistentConfig) {
+  EXPECT_THROW(FdDataTransmitter{inconsistent_config()}, std::invalid_argument);
+}
+
+TEST(FdDataReceiver, RejectsInconsistentConfig) {
+  EXPECT_THROW(FdDataReceiver{inconsistent_config()}, std::invalid_argument);
+}
+
+TEST(FdFeedbackReceiver, RejectsInconsistentConfig) {
+  EXPECT_THROW(FdFeedbackReceiver{inconsistent_config()},
+               std::invalid_argument);
+}
+
 TEST(FdDataTransmitter, BurstLayout) {
   const auto config = small_config();
   FdDataTransmitter tx(config);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "phy/line_code.hpp"
 #include "util/rng.hpp"
 
@@ -116,6 +118,18 @@ INSTANTIATE_TEST_SUITE_P(
                   : "_window";
       return name;
     });
+
+TEST(FeedbackEncoder, RejectsInvalidRates) {
+  auto rates = small_rates();
+  rates.asymmetry = 0;
+  EXPECT_THROW(FeedbackEncoder(rates, FeedbackConfig{}), std::invalid_argument);
+}
+
+TEST(FeedbackDecoder, RejectsInvalidRates) {
+  auto rates = small_rates();
+  rates.sample_rate_hz = 0.0;
+  EXPECT_THROW(FeedbackDecoder(rates, FeedbackConfig{}), std::invalid_argument);
+}
 
 TEST(FeedbackEncoder, NrzPrependsCalibrationSlots) {
   const auto rates = small_rates();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace fdb::core {
 namespace {
 
@@ -10,6 +12,12 @@ phy::RateConfig rates_with_asymmetry(std::size_t k) {
   rates.samples_per_chip = 10;
   rates.asymmetry = k;
   return rates;
+}
+
+TEST(FrameSchedule, RejectsInvalidRatesAndZeroDecodeDelay) {
+  EXPECT_THROW(FrameSchedule(rates_with_asymmetry(0)), std::invalid_argument);
+  EXPECT_THROW(FrameSchedule(rates_with_asymmetry(8), {.decode_delay_slots = 0}),
+               std::invalid_argument);
 }
 
 TEST(FrameSchedule, VerdictSlotOffsetsByDelay) {

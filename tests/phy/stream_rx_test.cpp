@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
 #include <span>
 
 #include "dsp/envelope.hpp"
@@ -27,6 +28,17 @@ std::vector<float> frame_waveform(const BackscatterTx& tx,
     env.push_back(s ? high : low);
   }
   return env;
+}
+
+TEST(StreamingReceiver, RejectsInvalidRates) {
+  auto config = small_config();
+  config.rates.asymmetry = 0;
+  EXPECT_THROW(StreamingReceiver(config, [](const StreamFrame&) {}),
+               std::invalid_argument);
+  config = small_config();
+  config.rates.sample_rate_hz = -1.0;
+  EXPECT_THROW(StreamingReceiver(config, [](const StreamFrame&) {}),
+               std::invalid_argument);
 }
 
 TEST(StreamingReceiver, DecodesSingleFrameMidStream) {

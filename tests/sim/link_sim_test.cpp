@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace fdb::sim {
 namespace {
 
@@ -13,6 +15,12 @@ LinkSimConfig fast_config() {
   config.fading = "static";
   config.seed = 42;
   return config;
+}
+
+TEST(LinkSim, RejectsInconsistentModem) {
+  auto config = fast_config();
+  config.modem.block_size_bytes = 8;  // asymmetry still keyed to 4 bytes
+  EXPECT_THROW(LinkSimulator{config}, std::invalid_argument);
 }
 
 TEST(LinkSim, CleanCwStaticIsErrorFree) {

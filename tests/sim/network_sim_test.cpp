@@ -159,6 +159,19 @@ TEST(NetworkSim, SummaryMergeMatchesSequentialAdd) {
 // Config validation (used to fail silently)
 // ---------------------------------------------------------------------
 
+TEST(NetworkSimConfigValidation, RejectsInconsistentModem) {
+  auto config = small_config();
+  config.modem.block_size_bytes = 4;  // asymmetry left at 72
+  try {
+    config.validate();
+    FAIL() << "validate() accepted an inconsistent modem";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("modem"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)NetworkSimulator(config), std::invalid_argument);
+}
+
 TEST(NetworkSimConfigValidation, RejectsEmptyTagSet) {
   auto config = small_config();
   config.tags.clear();
