@@ -29,11 +29,13 @@
 #include "dsp/envelope.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
+#include "dsp/iir.hpp"
 #include "dsp/moving_average.hpp"
 #include "phy/modem.hpp"
 #include "phy/preamble.hpp"
 #include "phy/slicer.hpp"
 #include "phy/stream_rx.hpp"
+#include "sim/network_sim.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "sim/synthesis.hpp"
@@ -71,6 +73,10 @@ struct StageResult {
   // and how many of them the chip-box kernel recomputed exactly.
   std::uint64_t corr_outputs = 0;
   std::uint64_t corr_recomputes = 0;
+  // Segmented OnePole stages: lockstep segments run and how many of
+  // them fell back to the serial loop end to end.
+  std::uint64_t pole_segments = 0;
+  std::uint64_t pole_fallbacks = 0;
 };
 
 // Pre-batch reference correlator — the seed's per-sample algorithm,
@@ -169,6 +175,17 @@ StageResult time_correlator_stage(const std::string& name,
   return result;
 }
 
+/// The network and link simulators' RC at their defaults: a cutoff of
+/// 4x the chip rate (400 kHz at 2 MHz), alpha 0.715.
+fdb::dsp::OnePole default_rc() {
+  const fdb::phy::RateConfig rates;
+  const double chip_rate =
+      rates.sample_rate_hz / static_cast<double>(rates.samples_per_chip);
+  return fdb::dsp::OnePole::from_cutoff(
+      fdb::sim::NetworkSimConfig{}.envelope_cutoff_mult * chip_rate,
+      rates.sample_rate_hz);
+}
+
 /// SIMD speedup of the correlator by paired repetitions: each pair
 /// times one repetition (16 passes over 4096 samples) of the dispatched
 /// process(span) and one of the scalar batch process_scalar back to
@@ -259,6 +276,38 @@ int main(int argc, char** argv) {
       g_sink = g_sink + out[0];
     });
   });
+  // The RC one-pole at netbench's shapes (a 2,880-sample slot and an
+  // 11,520-sample escalation window) and the default alpha, two ways:
+  // OnePole::process (eight lockstep chains plus the serial fix-up) and
+  // the serial loop whose bits it reproduces.
+  for (const std::size_t len : {2880ul, 11520ul}) {
+    const std::size_t inner = 46080 / len;
+    add("one_pole_" + std::to_string(len), [len, inner](std::size_t n) {
+      const auto env = random_envelope(len, 14);
+      auto rc = default_rc();
+      std::vector<float> out(len);
+      StageResult result =
+          time_stage("one_pole_" + std::to_string(len), len, inner, n, [&] {
+            rc.process(env, out);
+            g_sink = g_sink + out[0];
+          });
+      result.pole_segments = rc.parallel_segments();
+      result.pole_fallbacks = rc.serial_fallbacks();
+      return result;
+    });
+    add("one_pole_serial_" + std::to_string(len), [len, inner](std::size_t n) {
+      const auto env = random_envelope(len, 14);
+      const double alpha = default_rc().alpha();
+      float y = 0.0f;
+      std::vector<float> out(len);
+      return time_stage("one_pole_serial_" + std::to_string(len), len, inner,
+                        n, [&] {
+                          y = fdb::dsp::detail::one_pole_serial(alpha, y, env,
+                                                                out);
+                          g_sink = g_sink + out[0];
+                        });
+    });
+  }
   for (const std::size_t window : {16ul, 64ul, 256ul}) {
     add("moving_average_w" + std::to_string(window),
         [window](std::size_t n) {
@@ -634,6 +683,21 @@ int main(int argc, char** argv) {
                          static_cast<double>(r.corr_outputs)});
     }
   }
+  const bool pole_selected =
+      std::any_of(results.begin(), results.end(),
+                  [](const auto& r) { return r.pole_segments > 0; });
+  if (pole_selected) {
+    // Counts, not times: deterministic for a given --trials.
+    auto& share = report.section(
+        "one-pole serial fallbacks (share of segments)",
+        {"stage", "segments", "fallbacks", "share"});
+    for (const auto& r : results) {
+      if (r.pole_segments == 0) continue;
+      share.add_row({r.name, r.pole_segments, r.pole_fallbacks,
+                     static_cast<double>(r.pole_fallbacks) /
+                         static_cast<double>(r.pole_segments)});
+    }
+  }
   if (reps > 0 && selected("sliding_correlator_simd") &&
       selected("sliding_correlator")) {
     // Serial, after the stages: nothing else runs while pairs are timed.
@@ -671,7 +735,11 @@ int main(int argc, char** argv) {
                   " fused cross-entity slot-synthesis gain;"
                   " envelope_detector vs envelope_detector_std_abs"
                   " (per-sample std::abs, same output bits) is the"
-                  " vectorized magnitude gain; awgn_channel"
+                  " vectorized magnitude gain; one_pole_N vs"
+                  " one_pole_serial_N (same output bits) is the"
+                  " segment-parallel RC gain at an N-sample span, and the"
+                  " fallback section the share of segments whose chain"
+                  " never met its predecessor; awgn_channel"
                   " (batch Rng::fill_cn on the " + isa + " kernel) vs"
                   " rng_cn_scalar (per-call Rng::cn, same samples) is the"
                   " noise-layer gain, and vs awgn_channel_baseline"

@@ -1,14 +1,26 @@
 #include "dsp/envelope.hpp"
 
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace fdb::dsp {
 
+namespace {
+void check_spans(const char* who, std::size_t in, std::size_t out) {
+  if (in != out) {
+    throw std::invalid_argument(std::string(who) +
+                                ": input and output spans differ in length (" +
+                                std::to_string(in) + " vs " +
+                                std::to_string(out) + ")");
+  }
+}
+}  // namespace
+
 void magnitude(std::span<const cf32> in, std::span<float> out) {
-  assert(in.size() == out.size());
+  check_spans("magnitude", in.size(), out.size());
   // For finite input glibc's hypotf (what std::abs/cabsf call) returns
   // exactly float(sqrt(double(re)^2 + double(im)^2)); other libcs need
   // not, so a port must rerun the EnvelopeMagnitude.* pins. In double the
@@ -47,7 +59,8 @@ float EnvelopeDetector::process(cf32 x) {
 void EnvelopeDetector::process(std::span<const cf32> in,
                                std::span<float> out) {
   // Two passes: the magnitude, staged through `out` so no scratch
-  // buffer is needed, then the one-pole RC recurrence in place.
+  // buffer is needed, then the one-pole RC recurrence in place. The
+  // magnitude pass checks the span lengths before the RC state moves.
   magnitude(in, out);
   smoother_.process(std::span<const float>(out.data(), out.size()), out);
 }
@@ -66,7 +79,7 @@ float SquareLawDetector::process(cf32 x) {
 
 void SquareLawDetector::process(std::span<const cf32> in,
                                 std::span<float> out) {
-  assert(in.size() == out.size());
+  check_spans("SquareLawDetector", in.size(), out.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = std::norm(in[i]);
   smoother_.process(std::span<const float>(out.data(), out.size()), out);
 }

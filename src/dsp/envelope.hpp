@@ -16,7 +16,8 @@ namespace fdb::dsp {
 /// (including subnormal, overflowing and non-finite samples) where
 /// std::abs is glibc's hypotf, which rounds the exact double result
 /// once; another libc's hypotf need not, and the EnvelopeMagnitude.*
-/// tests pin the equality on the host they run on.
+/// tests pin the equality on the host they run on. Throws
+/// std::invalid_argument when the spans differ in length.
 void magnitude(std::span<const cf32> in, std::span<float> out);
 
 class EnvelopeDetector {
@@ -27,6 +28,8 @@ class EnvelopeDetector {
 
   /// |x| -> RC smoothing. Output is a nonnegative envelope sample.
   float process(cf32 x);
+  /// Throws std::invalid_argument, before any state changes, when the
+  /// spans differ in length.
   void process(std::span<const cf32> in, std::span<float> out);
   void reset();
 

@@ -1,6 +1,7 @@
 #include "phy/modem.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "dsp/correlator.hpp"
@@ -74,7 +75,6 @@ std::optional<std::size_t> BackscatterRx::find_sync(
   dsp::SlidingCorrelator correlator(chips_to_pattern(preamble),
                                     spc / stride);
   const std::size_t strided_len = envelope.size() / stride;
-  std::vector<float> corr(strided_len);
   // With long chips the raw envelope fluctuates far more than the
   // backscatter swing (ambient OFDM carriers especially); average over
   // half a chip before striding. Half, not whole: a full-chip boxcar
@@ -84,14 +84,21 @@ std::optional<std::size_t> BackscatterRx::find_sync(
   // Whole-capture batch chain: smooth everything with the moving
   // average's block kernel, gather the strided subsample, then run the
   // correlator's block kernel over it — no per-sample call overhead.
+  //
+  // The three buffers are default-initialized (no zero fill): the
+  // prefilter, the gather and the correlator each write every element
+  // before anything reads it.
   dsp::MovingAverage<float> prefilter(stride > 1 ? spc / 2 : 1);
-  std::vector<float> smoothed(envelope.size());
-  prefilter.process(envelope, smoothed);
-  std::vector<float> strided(strided_len);
+  const std::size_t n = envelope.size();
+  const auto smoothed = std::make_unique_for_overwrite<float[]>(n);
+  prefilter.process(envelope, {smoothed.get(), n});
+  const auto strided = std::make_unique_for_overwrite<float[]>(strided_len);
   for (std::size_t j = 0; j < strided_len; ++j) {
     strided[j] = smoothed[j * stride + stride - 1];
   }
-  correlator.process(strided, corr);
+  const auto corr_buf = std::make_unique_for_overwrite<float[]>(strided_len);
+  const std::span<float> corr(corr_buf.get(), strided_len);
+  correlator.process({strided.get(), strided_len}, corr);
   float best_abs = -2.0f;
   for (const float c : corr) best_abs = std::max(best_abs, std::abs(c));
   if (best_abs < config_.sync_threshold) {

@@ -297,9 +297,10 @@ void NetworkSimConfig::validate() const {
         "NetworkSimConfig: unknown carrier \"" + carrier +
         "\" (expected \"cw\" or \"ofdm_tv\")");
   }
-  // OnePole::from_cutoff only asserts a positive cutoff, and Release
-  // builds drop the assert: 0 gives a dead envelope that fails every
-  // frame silently, a negative or NaN multiplier a meaningless pole.
+  // OnePole::from_cutoff would throw for these too, but only once the
+  // simulator builds its synthesizer, and naming the cutoff in Hz; this
+  // names the config field (0 would be a dead envelope, a negative or
+  // NaN multiplier a meaningless pole).
   if (!(std::isfinite(envelope_cutoff_mult) && envelope_cutoff_mult > 0.0)) {
     throw std::invalid_argument(
         "NetworkSimConfig: envelope_cutoff_mult must be finite and "

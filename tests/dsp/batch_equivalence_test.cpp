@@ -112,6 +112,137 @@ TEST(BatchEquivalence, OnePole) {
   expect_float_kernel_equivalent(OnePole(0.05), OnePole(0.05), 6000, 13);
 }
 
+/// Streams built to defeat the segmented one-pole: chains that never
+/// meet (non-finite samples, a huge-to-tiny jump, signed zeros that
+/// compare equal but step differently), denormal arithmetic and values
+/// near FLT_MAX. Each comes with the state the filter starts from.
+struct PoleStream {
+  std::string name;
+  float start = 0.0f;
+  std::vector<float> x;
+};
+
+std::vector<PoleStream> adversarial_pole_streams(std::size_t n) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+  Rng rng(0x901e);
+  std::vector<PoleStream> s;
+  const auto add = [&](std::string name, float start, auto gen) {
+    PoleStream p{std::move(name), start, std::vector<float>(n)};
+    for (std::size_t i = 0; i < n; ++i) p.x[i] = gen(i);
+    s.push_back(std::move(p));
+  };
+  add("envelope", 0.3f, [&](std::size_t) {
+    return 1.0f + 0.25f * static_cast<float>(rng.normal());
+  });
+  add("constant", 0.0f, [](std::size_t) { return 0.7f; });
+  add("zeros", -0.0f, [](std::size_t) { return 0.0f; });
+  add("negative_zeros", -0.0f, [](std::size_t) { return -0.0f; });
+  // Runs of -0 with single +0 and -denorm_min samples: the true chain
+  // swings between -0, +0 and -denorm_min, a chain restarted from +0
+  // sits at +0 through a run of -0.
+  add("alternating_signed_zeros", -0.0f, [&](std::size_t) {
+    const double u = rng.uniform();
+    return u < 0.1 ? 0.0f : u < 0.2 ? -kTiny : -0.0f;
+  });
+  add("subnormals", 0.0f, [&](std::size_t) {
+    return static_cast<float>(rng.uniform()) * 1e-39f;
+  });
+  add("nan_mid_block", 1.0f, [&](std::size_t i) {
+    return i % 5000 == 2500 ? kNan : 1.0f + static_cast<float>(rng.uniform());
+  });
+  // +inf, -inf (a default NaN from inf - inf), then a quiet NaN of the
+  // other sign: a two-NaN add whose payload depends on operand order.
+  add("infinities_mid_block", 1.0f, [&](std::size_t i) {
+    const std::size_t k = i % 6000;
+    if (k == 3000) return kInf;
+    if (k == 3001) return -kInf;
+    if (k == 3002) return kNan;
+    return 1.0f + static_cast<float>(rng.uniform());
+  });
+  add("jump_1e30_to_1e-30", 1e30f,
+      [](std::size_t i) { return (i / 1500) % 2 == 0 ? 1e30f : 1e-30f; });
+  add("near_flt_max", 3e38f, [&](std::size_t) {
+    return (rng.uniform() < 0.5 ? -1.0f : 1.0f) *
+           std::numeric_limits<float>::max() *
+           static_cast<float>(0.5 + 0.5 * rng.uniform());
+  });
+  return s;
+}
+
+::testing::AssertionResult same_pole_bits(const std::vector<float>& want,
+                                          const std::vector<float>& got,
+                                          float want_state, float got_state) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(want[i]) !=
+        std::bit_cast<std::uint32_t>(got[i])) {
+      return ::testing::AssertionFailure()
+             << "diverged at sample " << i << ": " << want[i] << " vs "
+             << got[i];
+    }
+  }
+  if (std::bit_cast<std::uint32_t>(want_state) !=
+      std::bit_cast<std::uint32_t>(got_state)) {
+    return ::testing::AssertionFailure()
+           << "carried state " << want_state << " vs " << got_state;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BatchEquivalence, OnePoleSegmentedMatchesSerialOnAdversarialStreams) {
+  // Lengths: empty, one sample, the serial threshold (1,024) +-1, a
+  // slot, one block +-1, an escalation window and a long capture.
+  constexpr std::size_t kLengths[] = {0,    1,    1023, 1024,  1025, 2880,
+                                      4095, 4096, 4097, 11520, 70000};
+  const auto streams = adversarial_pole_streams(70000);
+  for (const double alpha : {1.0, 0.715, 0.27, 0.05, 1e-3}) {
+    for (const std::size_t n : kLengths) {
+      for (const auto& s : streams) {
+        SCOPED_TRACE(s.name + ", alpha " + std::to_string(alpha) + ", " +
+                     std::to_string(n) + " samples");
+        const std::vector<float> in(s.x.begin(), s.x.begin() + n);
+        std::vector<float> ref(n);
+        const float ref_state =
+            detail::one_pole_serial(alpha, s.start, in, ref);
+        // Whole span, out of place and in place.
+        OnePole whole(alpha);
+        whole.reset(s.start);
+        std::vector<float> out(n);
+        whole.process(in, out);
+        ASSERT_TRUE(same_pole_bits(ref, out, ref_state, whole.value()));
+        OnePole inplace(alpha);
+        inplace.reset(s.start);
+        std::vector<float> buf = in;
+        inplace.process(buf, buf);
+        ASSERT_TRUE(same_pole_bits(ref, buf, ref_state, inplace.value()));
+        // Random chunkings (chunks up to 5,000 samples), both ways.
+        Rng chunk_rng(n * 131 + static_cast<std::uint64_t>(alpha * 1e6));
+        OnePole chunked(alpha), chunked_inplace(alpha);
+        chunked.reset(s.start);
+        chunked_inplace.reset(s.start);
+        buf = in;
+        std::size_t pos = 0;
+        for (const std::size_t c : random_chunks(n, chunk_rng)) {
+          chunked.process(std::span<const float>(in.data() + pos, c),
+                          std::span<float>(out.data() + pos, c));
+          chunked_inplace.process(std::span<const float>(buf.data() + pos, c),
+                                  std::span<float>(buf.data() + pos, c));
+          pos += c;
+        }
+        ASSERT_TRUE(same_pole_bits(ref, out, ref_state, chunked.value()));
+        ASSERT_TRUE(
+            same_pole_bits(ref, buf, ref_state, chunked_inplace.value()));
+        // An ordinary envelope at the default pole meets every time.
+        if (s.name == "envelope" && alpha == 0.715 && n >= 1024) {
+          EXPECT_GT(whole.parallel_segments(), 0u);
+          EXPECT_EQ(whole.serial_fallbacks(), 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchEquivalence, Biquad) {
   expect_float_kernel_equivalent(Biquad::lowpass(500.0, 48000.0),
                                  Biquad::lowpass(500.0, 48000.0), 6000, 14);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "dsp/iir.hpp"
@@ -170,6 +171,26 @@ TEST(EnvelopeDetector, BatchMatchesStdAbsOnePoleReference) {
           << "sample " << done + i;
     }
   }
+}
+
+TEST(EnvelopeDetector, RejectsMismatchedSpans) {
+  EnvelopeDetector env(1000.0, 100000.0);
+  env.process({2.0f, 0.0f});
+  const float state = env.process({2.0f, 0.0f});
+  std::vector<cf32> in(8, {1.0f, 0.0f});
+  std::vector<float> longer(9, -1.0f), shorter(7, -1.0f);
+  // ASSERT first: without the check a shorter span would be overrun.
+  ASSERT_THROW(env.process(in, longer), std::invalid_argument);
+  EXPECT_THROW(env.process(in, shorter), std::invalid_argument);
+  ASSERT_THROW(magnitude(in, longer), std::invalid_argument);
+  EXPECT_THROW(magnitude(in, shorter), std::invalid_argument);
+  for (const float v : longer) EXPECT_EQ(v, -1.0f);
+  for (const float v : shorter) EXPECT_EQ(v, -1.0f);
+  // The RC state is untouched: the next sample continues from `state`.
+  EnvelopeDetector twin(1000.0, 100000.0);
+  twin.process({2.0f, 0.0f});
+  EXPECT_EQ(bits(twin.process({2.0f, 0.0f})), bits(state));
+  EXPECT_EQ(bits(env.process({3.0f, 0.0f})), bits(twin.process({3.0f, 0.0f})));
 }
 
 TEST(SquareLawDetector, SettlesToPower) {

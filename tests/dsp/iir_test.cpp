@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <numbers>
 #include <vector>
 
@@ -42,6 +44,42 @@ TEST(OnePole, ResetToValue) {
   lp.process(10.0f);
   lp.reset(1.0f);
   EXPECT_FLOAT_EQ(lp.value(), 1.0f);
+}
+
+TEST(OnePole, RejectsBadConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double alpha : {0.0, -0.5, 1.0 + 1e-12, 2.0, nan, inf}) {
+    EXPECT_THROW(OnePole{alpha}, std::invalid_argument) << "alpha " << alpha;
+  }
+  EXPECT_NO_THROW(OnePole{1.0});
+  EXPECT_NO_THROW(OnePole{1e-9});
+  for (const double cutoff : {0.0, -1.0, 500.0, 600.0, nan, inf}) {
+    EXPECT_THROW((void)OnePole::from_cutoff(cutoff, 1000.0),
+                 std::invalid_argument)
+        << "cutoff " << cutoff;
+  }
+  for (const double rate : {0.0, -1000.0, nan}) {
+    EXPECT_THROW((void)OnePole::from_cutoff(10.0, rate),
+                 std::invalid_argument)
+        << "rate " << rate;
+  }
+  EXPECT_NO_THROW((void)OnePole::from_cutoff(499.0, 1000.0));
+}
+
+TEST(OnePole, RejectsMismatchedSpans) {
+  OnePole lp(0.5);
+  lp.reset(0.25f);
+  std::vector<float> in(8, 1.0f), longer(9, -1.0f), shorter(7, -1.0f);
+  // ASSERT first: without the check a shorter span would be overrun.
+  ASSERT_THROW(lp.process(in, longer), std::invalid_argument);
+  EXPECT_THROW(lp.process(in, shorter), std::invalid_argument);
+  std::vector<float> big(5000, 1.0f), big_out(4999);
+  EXPECT_THROW(lp.process(big, big_out), std::invalid_argument);
+  // Nothing was written and the state is untouched.
+  EXPECT_EQ(lp.value(), 0.25f);
+  for (const float v : longer) EXPECT_EQ(v, -1.0f);
+  for (const float v : shorter) EXPECT_EQ(v, -1.0f);
 }
 
 TEST(Biquad, LowpassPassesDcBlocksHigh) {
